@@ -90,8 +90,8 @@ class CellArray:
     the conductance sampled at the last program operation; ``ops`` counts
     program operations and is incremented on every program call regardless of
     whether the target equals the current state. Callers that want the
-    program-only-on-change policy must mask their calls (see the crossbar
-    tile).
+    program-only-on-change policy must select the cells they pass (see the
+    crossbar tile). The three state arrays are C-contiguous.
     """
 
     def __init__(self, shape, spec: LevelSpec, endurance=DEFAULT_ENDURANCE):
@@ -109,27 +109,48 @@ class CellArray:
     def program(self, targets, rng, where=None):
         """Single-shot program of the selected cells.
 
-        Every selected cell gets a fresh conductance draw from its target
-        level's distribution (clamped at zero) and an op-count increment.
-        Returns the number of program operations performed.
+        ``where`` selects the cells: None for all of them, a boolean mask, or
+        an integer array of strictly ascending flat (C-order) cell indices,
+        in which case ``targets`` holds one level per index. An integer array
+        is never read as a mask: a 0/1 mask must be passed as booleans, and
+        indices that repeat, descend or fall outside the array raise
+        ``ValueError``. Every selected cell gets a fresh conductance draw from
+        its target level's distribution (clamped at zero) and an op-count
+        increment, drawn in ascending flat order. Returns the number of
+        program operations performed.
         """
-        targets = np.broadcast_to(np.asarray(targets), self.shape)
+        targets = np.asarray(targets)
+        where = None if where is None else np.asarray(where)
+        if where is None or where.dtype == bool:
+            # targets cover every cell; ``cells`` selects from the flattened state
+            targets = np.broadcast_to(targets, self.shape).reshape(-1)
+            cells = slice(None) if where is None else (
+                np.broadcast_to(where, self.shape).reshape(-1))
+            picked = targets[cells]
+        elif np.issubdtype(where.dtype, np.integer):
+            cells = where.astype(np.intp, copy=False).ravel()
+            if cells.size and (cells[0] < 0 or cells[-1] >= self.size
+                               or np.any(cells[1:] <= cells[:-1])):
+                raise ValueError("cell indices must be strictly ascending flat indices "
+                                 f"in 0..{self.size - 1}; pass a boolean array as a mask")
+            targets = picked = np.broadcast_to(targets, cells.shape)
+        else:
+            raise TypeError(f"where must be None, a boolean mask or integer flat indices, "
+                            f"not {where.dtype}")
         if targets.size and (targets.min() < 0 or targets.max() >= N_LEVELS):
             raise ValueError(f"target levels must lie in 0..{N_LEVELS - 1}")
-        if where is None:
-            where = np.ones(self.shape, dtype=bool)
-        else:
-            where = np.broadcast_to(np.asarray(where, dtype=bool), self.shape)
-        picked = targets[where]
         if picked.size == 0:
             return 0
         mu = self.spec.means[picked]
         sd = self.spec.sigmas[picked]
         draws = np.maximum(rng.normal(mu, sd), 0.0)
-        self.level[where] = picked.astype(np.int8)
-        self.g[where] = draws
-        self.ops[where] += 1
-        over = int(np.count_nonzero(self.ops[where] > self.endurance))
+        # flat views: the state arrays are C-contiguous
+        level, g, ops = (a.reshape(-1) for a in (self.level, self.g, self.ops))
+        level[cells] = picked
+        g[cells] = draws
+        counts = ops[cells] + 1
+        ops[cells] = counts
+        over = int(np.count_nonzero(counts > self.endurance))
         if over:
             warnings.warn(
                 f"{over} cell(s) exceeded the endurance budget of {self.endurance} program ops",

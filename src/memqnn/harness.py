@@ -287,7 +287,7 @@ def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     for i, layer in enumerate(mlp.layers):
         w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"],
                                    mlp.grid, m_star, lr, layer.level_idx)
-        layer.set_hidden(w_new)
+        layer.update_hidden(w_new)
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)
         if layer.tile is not None:

@@ -84,10 +84,13 @@ class BatchNorm:
 class DenseLayer:
     """One affine stage: hidden weights, their quantized image, optional BN.
 
-    ``w_quant`` is kept equal to the elementwise projection of ``w_hidden``
-    at all times outside the optimizer step; ``set_hidden`` re-establishes the
-    invariant after an update. When a crossbar tile is bound, the matrix
-    products route through it instead of ``w_quant``.
+    ``w_quant`` and ``level_idx`` are kept equal to the elementwise
+    projection of ``w_hidden`` at all times outside the optimizer step.
+    ``set_hidden`` establishes the invariant by projecting every weight;
+    ``update_hidden`` re-establishes it after an optimizer step by projecting
+    only the weights that left their level's interval, and patches
+    ``w_quant`` and ``level_idx`` in place. When a crossbar tile is bound,
+    the matrix products route through it instead of ``w_quant``.
     """
 
     def __init__(self, w_hidden, grid: QuantGrid, bn: BatchNorm | None = None):
@@ -97,6 +100,7 @@ class DenseLayer:
         self.w_hidden = None
         self.w_quant = None
         self.level_idx = None
+        self._bounds = None  # (lo, hi] of each weight's level, built on first update
         self.set_hidden(w_hidden)
 
     @property
@@ -104,10 +108,40 @@ class DenseLayer:
         return self.w_hidden.shape
 
     def set_hidden(self, w_hidden):
+        """Replace the hidden weights and project all of them."""
         w = np.asarray(w_hidden)
+        level_idx, w_quant = self.grid.project(w)
         self.w_hidden = w
-        self.level_idx, w_quant = self.grid.project(w)
+        self.level_idx = level_idx
         self.w_quant = w_quant.astype(w.dtype, copy=False)
+        self._bounds = None
+
+    def update_hidden(self, w_hidden):
+        """Replace the hidden weights after an optimizer update.
+
+        Same result as ``set_hidden``, at the cost of one comparison pass plus
+        work on the weights whose level changed: a weight outside the
+        interval (lo, hi] of its current level is re-projected, which may jump
+        several levels; every other weight keeps its level. The shape and
+        dtype must match the current hidden weights. Non-finite weights raise
+        ``FloatingPointError`` and leave the layer unchanged.
+        """
+        w = np.asarray(w_hidden)
+        if w.shape != self.w_hidden.shape or w.dtype != self.w_hidden.dtype:
+            raise ValueError(f"update of {w.dtype}{w.shape} != hidden weights "
+                             f"{self.w_hidden.dtype}{self.w_hidden.shape}")
+        if self._bounds is None:
+            self._bounds = self.grid.level_bounds(self.level_idx, w.dtype)
+        lo, hi = self._bounds
+        inside = w > lo
+        inside &= w <= hi
+        moved = np.flatnonzero(~inside)  # NaN compares false: it moves, and project raises
+        idx, w_quant = self.grid.project(np.take(w, moved))
+        np.put(self.level_idx, moved, idx)
+        np.put(self.w_quant, moved, w_quant)
+        for bound, new in zip(self._bounds, self.grid.level_bounds(idx, w.dtype)):
+            np.put(bound, moved, new)
+        self.w_hidden = w
 
     def bind_tile(self, tile):
         if tile.shape != self.w_hidden.shape:

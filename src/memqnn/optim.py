@@ -6,6 +6,12 @@ update whose direction would push a hidden weight away from its current
 quantized level is scaled by the grid's plasticity factor, which is what makes
 well-settled synapses progressively harder to dislodge. Updates toward the
 level, and all batch-norm updates, are applied at full strength.
+
+Only the away-branch weights pay for the plasticity factor: the update finds
+them in one pass over ``u * (w_hidden - w_quant)`` and evaluates the factor on
+that subset alone. The layer then re-projects only the weights that left
+their level (``DenseLayer.update_hidden``), so a step costs a few passes over
+the weights plus work proportional to the damped updates and level flips.
 """
 
 from __future__ import annotations
@@ -44,11 +50,21 @@ class Adam:
             m, v = self.slots[name]
             if m.shape != g.shape:
                 raise ValueError(f"gradient shape {g.shape} != slot shape {m.shape} for {name!r}")
+            # same operations, in the same order, as
+            # m_hat / (sqrt(v_hat) + eps), through one scratch array
+            tmp = (1.0 - b1) * g
             m *= b1
-            m += (1.0 - b1) * g
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            out[name] = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += tmp
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            d = m / c1
+            d /= tmp
+            out[name] = d
         return out
 
     def state_dict(self):
@@ -76,18 +92,24 @@ def metaplastic_update(w_hidden, w_quant, u, grid: QuantGrid, m_star, lr, level_
     carry the hidden weight away from its level, so it is scaled by the
     plasticity factor evaluated at the current state; everywhere else (the
     equality case included) the plain step applies. ``w_quant`` must be the
-    current projection of ``w_hidden``.
+    current projection of ``w_hidden`` (and ``level_idx``, when given, its
+    level index). The plasticity factor is evaluated for the away-branch
+    weights only, so a toward step costs no transcendental function.
     """
     if isinstance(m_star, MetaParams):
         m_star = m_star.m_star
     w = np.asarray(w_hidden)
-    step = lr * u
     if m_star == 0.0:
-        return grid.clip_hidden(w - step)
-    away = u * (w - w_quant) < 0.0
-    scale = grid.plasticity(w, m_star, level_idx, w_quant).astype(w.dtype, copy=False)
-    step = step * np.where(away, scale, np.ones((), dtype=w.dtype))
-    return grid.clip_hidden(w - step)
+        return grid.clip_hidden(w - lr * u)
+    w, w_quant, u = np.broadcast_arrays(w, w_quant, u)
+    step = np.asarray(lr * u)
+    step = step.astype(np.result_type(step, w), order="C", copy=False)
+    away = np.flatnonzero(u * (w - w_quant) < 0.0)
+    idx = None if level_idx is None else np.take(np.broadcast_to(level_idx, w.shape), away)
+    scale = grid.plasticity(np.take(w, away), m_star, idx, np.take(w_quant, away))
+    step.reshape(-1)[away] *= scale.astype(w.dtype, copy=False)  # C order: a view
+    np.subtract(w, step, out=step)
+    return grid.clip_hidden(step)
 
 
 def bn_update(bn, u_gamma, u_beta, lr):

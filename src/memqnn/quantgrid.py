@@ -3,7 +3,9 @@
 A grid is an ordered set of representable weight values. Uniform grids cover
 the pure-software experiments; grids derived from measured device conductances
 are generally unequally spaced (wider around zero), so every computation here
-works with per-interval widths rather than a single spacing constant.
+works with per-interval widths rather than a single spacing constant; a grid
+whose widths are all bitwise equal uses its one width as a scalar, which
+yields the same bits.
 """
 
 from __future__ import annotations
@@ -53,7 +55,18 @@ class QuantGrid:
         self.hidden_lo = float(lv[0] - 0.5 * self.widths[0])
         self.hidden_hi = float(lv[-1] + 0.5 * self.widths[-1])
         self._midpoints_f32 = self.midpoints.astype(np.float32)
-        for a in (self.levels, self.widths, self.midpoints, self._midpoints_f32):
+        # all widths bitwise equal: the plasticity slope is one scalar
+        self._uniform = bool(np.all(self.widths == self.widths[0]))
+        # the projection interval (lo, hi] of every level, for float32 weights
+        # and for all others; the open ends are -inf and the largest finite
+        # value, so a non-finite weight always falls outside its interval
+        self._intervals = {}
+        for is_f32, mids in ((True, self._midpoints_f32), (False, self.midpoints)):
+            lo = np.concatenate(([-np.inf], mids)).astype(mids.dtype)
+            hi = np.concatenate((mids, [np.finfo(mids.dtype).max])).astype(mids.dtype)
+            self._intervals[is_f32] = (lo, hi)
+        for a in (self.levels, self.widths, self.midpoints, self._midpoints_f32,
+                  *(b for pair in self._intervals.values() for b in pair)):
             a.flags.writeable = False
 
     # -- projection --------------------------------------------------------
@@ -83,6 +96,16 @@ class QuantGrid:
         idx = self.project_idx(w_hidden)
         return idx, self.levels[idx]
 
+    def level_bounds(self, level_idx, dtype):
+        """Per weight, the interval (lo, hi] that projects onto its level.
+
+        Bounds are midpoints in the precision ``project_idx`` compares a
+        ``dtype`` weight against, so ``lo < w <= hi`` holds exactly when
+        ``w`` projects onto ``level_idx``; a non-finite ``w`` never does.
+        """
+        lo, hi = self._intervals[np.dtype(dtype) == np.float32]
+        return lo[level_idx], hi[level_idx]
+
     # -- metaplastic function ----------------------------------------------
 
     def plasticity(self, w_hidden, m_star, level_idx=None, w_quant=None):
@@ -105,22 +128,28 @@ class QuantGrid:
         dt = w.dtype if w.dtype.kind == "f" else np.dtype(np.float64)
         if level_idx is None or w_quant is None:
             level_idx, w_quant = self.project(w)
-        idx = np.asarray(level_idx)
-        d = np.abs(w - np.asarray(w_quant, dtype=dt))
-        above = w >= w_quant
-        # 2*m/width per interval, gathered on the side that contains the weight
+        # 2*m/width per interval, gathered on the side that contains the weight:
+        # interval idx above the level, idx - 1 below it, clamped to the grid
         inv_width = (2.0 * m / self.widths).astype(dt)
-        factor = np.where(
-            above,
-            inv_width[np.minimum(idx, self.n - 2)],
-            inv_width[np.maximum(idx - 1, 0)],
-        )
+        if self._uniform:
+            factor = inv_width[0]
+        else:
+            side = np.asarray(level_idx) - 1 + (w >= w_quant)
+            factor = np.take(inv_width, np.clip(side, 0, self.n - 2))
+        # 1 - tanh(min(factor * |w - w_quant| - m, 0))**2, evaluated in place.
         # The argument is <= 0 for any weight inside the clipped hidden range
         # (distance to the level is at most half an interval); the cap extends
         # that continuously, keeping far-out weights fully plastic.
-        arg = np.minimum(factor * d - dt.type(m), dt.type(0))
-        t = np.tanh(arg)
-        return 1.0 - t * t
+        out = np.empty(np.broadcast_shapes(w.shape, np.shape(w_quant)), dtype=dt)
+        np.subtract(w, np.asarray(w_quant, dtype=dt), out=out)
+        np.abs(out, out=out)
+        out *= factor
+        out -= dt.type(m)
+        np.minimum(out, dt.type(0), out=out)
+        np.tanh(out, out=out)
+        out *= out
+        np.subtract(1.0, out, out=out)
+        return out
 
     # -- hidden-weight support ----------------------------------------------
 
