@@ -12,11 +12,12 @@ Run:  python demos/02_training_on_quantized_weights.py
 import numpy as np
 
 from memqnn import MLP, Adam, metaplastic_update, uniform_grid
+from memqnn.net import init_hidden_uniform
 from memqnn.optim import bn_update
 
 rng = np.random.default_rng(0)
 grid = uniform_grid(17, -1.5, 1.5)
-mlp = MLP((32, 24, 4), grid, rng, dtype=np.float64)
+mlp = MLP([init_hidden_uniform(shape, grid, rng) for shape in ((32, 24), (24, 4))], grid)
 
 # A linearly separable 4-class toy stream.
 proto = rng.normal(size=(4, 32))
@@ -30,13 +31,7 @@ m_star, lr = 3.0, 0.01
 for step in range(1, 201):
     x, y = batch()
     loss, grads, logits = mlp.loss_grads(x, y)
-    gd = {}
-    for i, g in enumerate(grads):
-        gd[f"w{i}"] = g.w
-        if g.gamma is not None:
-            gd[f"bn{i}.g"] = g.gamma
-            gd[f"bn{i}.b"] = g.beta
-    u = adam.directions(gd)
+    u = adam.directions(grads)
     away_frac = []
     for i, layer in enumerate(mlp.layers):
         away = u[f"w{i}"] * (layer.w_hidden - layer.w_quant) < 0
@@ -45,7 +40,7 @@ for step in range(1, 201):
             layer.w_hidden, layer.w_quant, u[f"w{i}"], grid, m_star, lr,
             layer.level_idx))
         if layer.bn is not None:
-            bn_update(layer.bn, u[f"bn{i}.g"], u[f"bn{i}.b"], lr)
+            bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)
     if step % 40 == 0:
         acc = (logits.argmax(1) == y).mean() * 100
         print(f"step {step:3d}  loss {loss:.3f}  batch acc {acc:5.1f}%  "

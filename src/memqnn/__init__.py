@@ -13,17 +13,17 @@ Module map:
     optim       Adam directions and the consolidation-gated update
     device      multi-level memristor cell model (9 states, variability, endurance)
     xbar        differential-pair tiles, analog MVM, write policy, derived grids
-    data        IDX ingestion, batching, task schedules, dataset fetching
+    data        IDX ingestion, batching, task specs, dataset fetching
     harness     experiment configs, sequential runs, sweeps, cost profiles
     cli         fetch-data / train / sweep / hist-ops / eval subcommands
 """
 
-from .quantgrid import MetaParams, QuantGrid, uniform_grid
+from .quantgrid import QuantGrid, uniform_grid
 from .device import CellArray, LevelSpec, default_levelspec
-from .xbar import CrossbarTile, DeviceGrid, derive_grid, encode_level
+from .xbar import CrossbarTile, DeviceGrid, derive_grid
 from .net import MLP, softmax_cross_entropy
 from .optim import Adam, bn_update, metaplastic_update
-from .data import DatasetSplit, TaskSchedule, TaskSpec, batches, fetch_dataset, load_dataset, load_idx
+from .data import DatasetSplit, TaskSpec, batches, fetch_dataset, load_dataset, load_idx
 from .harness import (
     ExperimentConfig,
     MetricsRecord,
@@ -40,12 +40,12 @@ from .errors import ConfigError, EnduranceWarning, IdxFormatError
 __version__ = "0.1.0"
 
 __all__ = [
-    "MetaParams", "QuantGrid", "uniform_grid",
+    "QuantGrid", "uniform_grid",
     "CellArray", "LevelSpec", "default_levelspec",
-    "CrossbarTile", "DeviceGrid", "derive_grid", "encode_level",
+    "CrossbarTile", "DeviceGrid", "derive_grid",
     "MLP", "softmax_cross_entropy",
     "Adam", "bn_update", "metaplastic_update",
-    "DatasetSplit", "TaskSchedule", "TaskSpec", "batches",
+    "DatasetSplit", "TaskSpec", "batches",
     "fetch_dataset", "load_dataset", "load_idx",
     "ExperimentConfig", "MetricsRecord", "RunResult",
     "evaluate", "ops_histogram", "preset",

@@ -1,4 +1,4 @@
-"""MNIST / Fashion-MNIST ingestion (IDX format), batching and task scheduling.
+"""MNIST / Fashion-MNIST ingestion (IDX format), batching and task specs.
 
 Files are the standard big-endian IDX payloads, optionally gzip-compressed
 (sniffed from the two magic bytes, not the filename). Nothing is ever
@@ -13,7 +13,7 @@ import hashlib
 import os
 import struct
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ from .errors import ConfigError, IdxFormatError
 __all__ = [
     "DatasetSplit",
     "TaskSpec",
-    "TaskSchedule",
     "load_idx",
     "load_dataset",
     "batches",
@@ -107,21 +106,6 @@ class TaskSpec:
     @property
     def data_name(self):
         return self.dataset or self.name
-
-
-@dataclass
-class TaskSchedule:
-    """Ordered tasks plus the initial span of epochs that run unconsolidated."""
-
-    tasks: list[TaskSpec] = field(default_factory=list)
-    pretrain_epochs: int = 0
-
-    def __post_init__(self):
-        if self.pretrain_epochs < 0:
-            raise ConfigError("pretrain_epochs must be >= 0")
-
-    def total_epochs(self):
-        return sum(t.epochs for t in self.tasks)
 
 
 def _read_bytes(path):

@@ -40,7 +40,7 @@ import numpy as np
 from .data import TaskSpec, batches, load_dataset
 from .device import LevelSpec, default_levelspec
 from .errors import ConfigError
-from .net import MLP
+from .net import MLP, init_hidden_uniform
 from .optim import Adam, bn_update, metaplastic_update
 from .quantgrid import QuantGrid, uniform_grid
 from .xbar import derive_grid, dump_tiles_tsv, init_hardware_weights
@@ -136,6 +136,10 @@ class ExperimentConfig:
             problems.append("noise magnitudes must be >= 0")
         if self.endurance < 1:
             problems.append("endurance must be >= 1")
+        pt = self.physical_tile
+        if pt is not None and not (isinstance(pt, (tuple, list)) and len(pt) == 2
+                                   and all(isinstance(v, int) and v > 0 for v in pt)):
+            problems.append(f"physical_tile must be two positive ints, got {pt}")
         names = [t.name for t in self.tasks]
         if len(set(names)) != len(names):
             problems.append(f"task names must be unique, got {names}")
@@ -159,9 +163,13 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        d["dims"] = tuple(d["dims"])
+        _check_keys("config", cls, d)
+        if "dims" in d:
+            d["dims"] = tuple(d["dims"])
+        for t in d.get("tasks", []):
+            _check_keys(f"task {t.get('name')!r}", TaskSpec, t)
         d["tasks"] = [TaskSpec(**t) for t in d.get("tasks", [])]
-        if d.get("physical_tile") is not None:
+        if isinstance(d.get("physical_tile"), list):
             d["physical_tile"] = tuple(d["physical_tile"])
         return cls(**d)
 
@@ -173,6 +181,19 @@ class ExperimentConfig:
         if self.device_rows is not None:
             return LevelSpec.from_rows(self.device_rows)
         return default_levelspec(self.device_sigma_frac)
+
+
+def _check_keys(what, cls, d):
+    """ConfigError naming the keys of ``d`` that ``cls`` does not know or needs."""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(d) - {f.name for f in fields})
+    missing = [f.name for f in fields if f.name not in d
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    problems = [f"{kind} keys {keys}"
+                for kind, keys in (("unknown", unknown), ("missing", missing)) if keys]
+    if problems:
+        raise ConfigError(f"{what}: " + ", ".join(problems))
 
 
 def preset(tier, **overrides):
@@ -232,23 +253,29 @@ def build_grid(config):
 
 
 def build_model(config, init_rng, device_rng):
-    """MLP (plus programmed tiles in crossbar mode); returns (mlp, dgrid, init_ops)."""
+    """MLP (plus programmed tiles in crossbar mode); returns (mlp, dgrid, init_ops).
+
+    Exact mode draws uniform hidden weights from ``init_rng``; crossbar mode
+    draws them and programs the tiles from ``device_rng`` and leaves
+    ``init_rng`` alone.
+    """
     grid, dgrid = build_grid(config)
     dtype = np.dtype(config.dtype)
-    mlp = MLP(config.dims, grid, init_rng, dtype=dtype, init_span=config.init_span)
-    init_ops = 0
-    if config.weight_source == "crossbar":
-        shapes = [layer.shape for layer in mlp.layers]
-        hidden, tiles, init_ops = init_hardware_weights(
-            shapes, dgrid, device_rng,
-            endurance=config.endurance,
-            read_noise_sigma=config.read_noise_sigma,
-            physical_tile=config.physical_tile,
-            dtype=dtype,
-        )
-        for layer, w, tile in zip(mlp.layers, hidden, tiles):
-            layer.set_hidden(w.astype(dtype))
-            layer.bind_tile(tile)
+    shapes = list(zip(config.dims[:-1], config.dims[1:]))
+    if config.weight_source == "exact":
+        hidden = [init_hidden_uniform(s, grid, init_rng, span=config.init_span).astype(dtype)
+                  for s in shapes]
+        return MLP(hidden, grid), dgrid, 0
+    hidden, tiles, init_ops = init_hardware_weights(
+        shapes, dgrid, device_rng,
+        endurance=config.endurance,
+        read_noise_sigma=config.read_noise_sigma,
+        physical_tile=config.physical_tile,
+        dtype=dtype,
+    )
+    mlp = MLP(hidden, grid)
+    for layer, tile in zip(mlp.layers, tiles):
+        layer.bind_tile(tile)
     return mlp, dgrid, init_ops
 
 
@@ -276,13 +303,7 @@ def evaluate(mlp, split, eval_batch=1000, bn_state=None):
 def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     """One optimizer step; returns (loss, programming ops this step)."""
     loss, grads, _ = mlp.loss_grads(x, y)
-    gdict = {}
-    for i, g in enumerate(grads):
-        gdict[f"w{i}"] = g.w
-        if g.gamma is not None:
-            gdict[f"bn{i}.gamma"] = g.gamma
-            gdict[f"bn{i}.beta"] = g.beta
-    u = adam.directions(gdict)
+    u = adam.directions(grads)
     ops = 0
     for i, layer in enumerate(mlp.layers):
         w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"],
@@ -336,9 +357,6 @@ def save_checkpoint(path, config, mlp, adam, data_rng, device_rng, epoch, cum_op
     }
     state.update(mlp.state_dict())
     state.update({f"adam.{k}": v for k, v in adam.state_dict().items()})
-    for i, layer in enumerate(mlp.layers):
-        if layer.tile is not None:
-            state.update(layer.tile.state_dict(prefix=f"tile{i}."))
     for task_name, snap in (bn_snapshots or {}).items():
         for i, (gamma, beta, mean, var) in enumerate(snap):
             base = f"bnsnap.{task_name}.{i}."
@@ -379,32 +397,15 @@ def load_checkpoint(path):
 def restore_run(state):
     """Rebuild (config, mlp, adam, data_rng, device_rng) from checkpoint state."""
     config = ExperimentConfig.from_dict(_unpack_json(state["config_json"]))
-    grid, dgrid = build_grid(config)
-    rng_throwaway = np.random.default_rng(0)
-    mlp = MLP(config.dims, grid, rng_throwaway, dtype=np.dtype(config.dtype),
-              init_span=config.init_span)
+    data_rng, device_rng = np.random.default_rng(0), np.random.default_rng(0)
+    # the tiles keep drawing from device_rng, whose state is restored below
+    mlp, _, _ = build_model(config, np.random.default_rng(0), device_rng)
     mlp.load_state_dict(state)
-    if config.weight_source == "crossbar":
-        from .xbar import CrossbarTile
-        for i, layer in enumerate(mlp.layers):
-            tile = CrossbarTile(layer.shape[0], layer.shape[1], dgrid,
-                                np.random.default_rng(0),
-                                endurance=config.endurance,
-                                read_noise_sigma=config.read_noise_sigma,
-                                physical_tile=config.physical_tile,
-                                dtype=np.dtype(config.dtype))
-            tile.load_state_dict(state, prefix=f"tile{i}.")
-            layer.bind_tile(tile)
     adam = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
     adam.load_state_dict({k[len("adam."):]: v for k, v in state.items()
                           if k.startswith("adam.")})
-    data_rng = np.random.default_rng()
     data_rng.bit_generator.state = _unpack_json(state["data_rng"])
-    device_rng = np.random.default_rng()
     device_rng.bit_generator.state = _unpack_json(state["device_rng"])
-    for layer in mlp.layers:
-        if layer.tile is not None:
-            layer.tile.rng = device_rng
     return config, mlp, adam, data_rng, device_rng
 
 
@@ -429,8 +430,13 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
     train_splits, test_splits = {}, {}
     for task in config.tasks:
         task_dir = Path(config.data_dir) / task.data_name
-        train_splits[task.name] = load_dataset(task_dir, "train", name=task.name, dtype=dtype)
-        test_splits[task.name] = load_dataset(task_dir, "test", name=task.name, dtype=dtype)
+        for part, splits in (("train", train_splits), ("test", test_splits)):
+            split = load_dataset(task_dir, part, name=task.name, dtype=dtype)
+            top = split.labels.max(initial=0)
+            if split.images.shape[1] != config.dims[0] or top >= config.dims[-1]:
+                raise ConfigError(f"{task_dir} {part}: {split.images.shape[1]} pixels and "
+                                  f"labels up to {top} do not fit dims {config.dims}")
+            splits[task.name] = split
 
     adam = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
     task_names = [t.name for t in config.tasks]

@@ -171,29 +171,24 @@ class ForwardTape:
     logits: np.ndarray | None = None
 
 
-@dataclass
-class LayerGrads:
-    w: np.ndarray
-    gamma: np.ndarray | None = None
-    beta: np.ndarray | None = None
-
-
 class MLP:
-    """Quantized-weight perceptron; the last layer has no BN and no activation."""
+    """Quantized-weight perceptron; the last layer has no BN and no activation.
 
-    def __init__(self, dims, grid: QuantGrid, rng, dtype=np.float64,
-                 init_span=2.0, bn_eps=1e-5, bn_momentum=0.1):
-        if len(dims) < 2:
-            raise ValueError("need at least an input and an output dimension")
-        self.dims = tuple(int(d) for d in dims)
+    Built from one hidden-weight matrix per layer; the dims and the dtype
+    come from the matrices.
+    """
+
+    def __init__(self, hidden, grid: QuantGrid):
+        shapes = [np.shape(w) for w in hidden]
+        if not shapes or any(len(s) != 2 for s in shapes) or any(
+                a[1] != b[0] for a, b in zip(shapes, shapes[1:])):
+            raise ValueError(f"need chained 2-d weight matrices, got shapes {shapes}")
+        self.dims = (shapes[0][0], *(s[1] for s in shapes))
         self.grid = grid
-        self.dtype = np.dtype(dtype)
+        self.dtype = np.asarray(hidden[0]).dtype
         self.layers = []
-        for i, (fi, fo) in enumerate(zip(self.dims[:-1], self.dims[1:])):
-            w = init_hidden_uniform((fi, fo), grid, rng, span=init_span).astype(self.dtype)
-            bn = None
-            if i < len(self.dims) - 2:
-                bn = BatchNorm(fo, eps=bn_eps, momentum=bn_momentum, dtype=self.dtype)
+        for i, w in enumerate(hidden):
+            bn = BatchNorm(shapes[i][1], dtype=self.dtype) if i < len(shapes) - 1 else None
             self.layers.append(DenseLayer(w, grid, bn))
 
     # -- inference ------------------------------------------------------------
@@ -228,22 +223,24 @@ class MLP:
     def backward(self, tape: ForwardTape, labels):
         """Loss and gradients w.r.t. quantized weights and BN parameters.
 
-        Requires the tape of a training-mode forward pass; the error
-        back-propagation product routes through the bound tiles when present.
+        Gradients are keyed by parameter name: ``w<i>`` for layer i's weights,
+        ``bn<i>.gamma``/``bn<i>.beta`` for its batch norm. Requires the tape
+        of a training-mode forward pass; the error back-propagation product
+        routes through the bound tiles when present.
         """
         if tape is None or tape.logits is None:
             raise RuntimeError("backward needs the tape of a training-mode forward pass")
         loss, delta = softmax_cross_entropy(tape.logits, labels)
-        grads = [None] * len(self.layers)
+        last = len(self.layers) - 1
         # output layer: input is the last recorded activation
-        a_last = tape.inputs[-1]
-        grads[-1] = LayerGrads(w=a_last.T @ delta)
+        grads = {f"w{last}": tape.inputs[-1].T @ delta}
         delta = self.layers[-1].matmul_backward(delta)
-        for i in range(len(self.layers) - 2, -1, -1):
+        for i in range(last - 1, -1, -1):
             layer = self.layers[i]
             delta = delta * tape.relu_masks[i]
-            delta, dgamma, dbeta = layer.bn.backward(delta, tape.bn_caches[i])
-            grads[i] = LayerGrads(w=tape.inputs[i].T @ delta, gamma=dgamma, beta=dbeta)
+            delta, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = layer.bn.backward(
+                delta, tape.bn_caches[i])
+            grads[f"w{i}"] = tape.inputs[i].T @ delta
             if i > 0:
                 delta = layer.matmul_backward(delta)
         return loss, grads
@@ -282,6 +279,7 @@ class MLP:
             bn.running_var = var.copy()
 
     def state_dict(self):
+        """Weights, BN and, for bound tiles, their cell state (``tile<i>.*``)."""
         state = {"dims": np.asarray(self.dims), "grid_levels": self.grid.levels}
         for i, layer in enumerate(self.layers):
             state[f"layer{i}.w_hidden"] = layer.w_hidden
@@ -292,6 +290,8 @@ class MLP:
                 state[f"layer{i}.bn.beta"] = bn.beta
                 state[f"layer{i}.bn.running_mean"] = bn.running_mean
                 state[f"layer{i}.bn.running_var"] = bn.running_var
+            if layer.tile is not None:
+                state.update(layer.tile.state_dict(prefix=f"tile{i}."))
         return state
 
     def load_state_dict(self, state):
@@ -305,6 +305,8 @@ class MLP:
                 bn.beta = np.asarray(state[f"layer{i}.bn.beta"], dtype=self.dtype)
                 bn.running_mean = np.asarray(state[f"layer{i}.bn.running_mean"], dtype=self.dtype)
                 bn.running_var = np.asarray(state[f"layer{i}.bn.running_var"], dtype=self.dtype)
+            if layer.tile is not None:
+                layer.tile.load_state_dict(state, prefix=f"tile{i}.")
 
 
 def init_hidden_uniform(shape, grid: QuantGrid, rng, span=2.0):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quantgrid import MetaParams, QuantGrid
+from .quantgrid import QuantGrid
 
 __all__ = ["Adam", "metaplastic_update", "bn_update"]
 
@@ -96,8 +96,6 @@ def metaplastic_update(w_hidden, w_quant, u, grid: QuantGrid, m_star, lr, level_
     level index). The plasticity factor is evaluated for the away-branch
     weights only, so a toward step costs no transcendental function.
     """
-    if isinstance(m_star, MetaParams):
-        m_star = m_star.m_star
     w = np.asarray(w_hidden)
     if m_star == 0.0:
         return grid.clip_hidden(w - lr * u)

@@ -10,24 +10,11 @@ yields the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["QuantGrid", "MetaParams", "uniform_grid"]
-
-
-@dataclass(frozen=True)
-class MetaParams:
-    """Consolidation steepness. m_star = 0 turns modulation off entirely."""
-
-    m_star: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.m_star) or self.m_star < 0:
-            raise ConfigError(f"m_star must be finite and >= 0, got {self.m_star}")
+__all__ = ["QuantGrid", "uniform_grid"]
 
 
 class QuantGrid:
@@ -119,8 +106,6 @@ class QuantGrid:
         weight exactly on a level gives the same value for either neighbouring
         interval, so the left one is taken.
         """
-        if isinstance(m_star, MetaParams):
-            m_star = m_star.m_star
         m = float(m_star)
         if not np.isfinite(m) or m < 0:
             raise ConfigError(f"m_star must be finite and >= 0, got {m}")
@@ -164,9 +149,6 @@ class QuantGrid:
 
     def to_list(self):
         return [float(v) for v in self.levels]
-
-    def __len__(self):
-        return self.n
 
     def __repr__(self):
         return f"QuantGrid(n={self.n}, range=[{self.levels[0]:g}, {self.levels[-1]:g}])"

@@ -30,7 +30,6 @@ from .quantgrid import QuantGrid
 
 __all__ = [
     "HALF_SPAN",
-    "encode_level",
     "encode_levels",
     "decode_levels",
     "DeviceGrid",
@@ -49,12 +48,6 @@ def encode_levels(k):
     if k.size and (k.min() < -HALF_SPAN or k.max() > HALF_SPAN):
         raise ValueError(f"signed levels must lie in -{HALF_SPAN}..+{HALF_SPAN}")
     return np.maximum(k, 0), -np.minimum(k, 0)
-
-
-def encode_level(k):
-    """Scalar convenience wrapper around encode_levels."""
-    plus, minus = encode_levels(int(k))
-    return int(plus), int(minus)
 
 
 def decode_levels(plus, minus):
@@ -237,8 +230,10 @@ def init_hardware_weights(shapes, dgrid: DeviceGrid, rng,
 
     Per synapse a uniformly chosen central interval provides the mean
     (its midpoint) and the scale (sigma_frac times its width) of the draw.
-    Quantized projections are written to fresh tiles, so every cell is
-    programmed exactly once. Returns (hidden weight arrays, tiles, ops).
+    Each draw is cast to ``dtype`` before it is projected, so a tile holds
+    the level its layer projects the same weights onto. Quantized
+    projections are written to fresh tiles, so every cell is programmed
+    exactly once. Returns (hidden weight arrays, tiles, ops).
     """
     grid = dgrid.grid
     n_int = grid.n - 1
@@ -250,7 +245,7 @@ def init_hardware_weights(shapes, dgrid: DeviceGrid, rng,
         pick = rng.choice(choices, size=shape)
         mids = grid.midpoints[pick]
         sds = sigma_frac * grid.widths[pick]
-        w = grid.clip_hidden(rng.normal(mids, sds))
+        w = grid.clip_hidden(rng.normal(mids, sds)).astype(dtype)
         idx, _ = grid.project(w)
         tile = CrossbarTile(shape[0], shape[1], dgrid, rng,
                             endurance=endurance, read_noise_sigma=read_noise_sigma,

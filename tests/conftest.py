@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memqnn.net import MLP, init_hidden_uniform
+
 
 def pytest_collection_modifyitems(config, items):
     if os.environ.get("MEMQNN_TIER", "").lower() == "full":
@@ -23,6 +25,12 @@ def real_data_dir():
             return Path(cand)
     pytest.skip("MNIST data not present (fetch with `memqnn fetch-data`, "
                 "or point MEMQNN_DATA_DIR at it)")
+
+
+def uniform_mlp(dims, grid, rng, dtype=np.float64):
+    """MLP on uniform hidden weights, drawn as harness.build_model draws them in exact mode."""
+    return MLP([init_hidden_uniform(shape, grid, rng).astype(dtype)
+                for shape in zip(dims[:-1], dims[1:])], grid)
 
 
 def write_idx_images(path, images):

@@ -15,13 +15,10 @@ import numpy as np
 from memqnn.device import N_LEVELS
 from memqnn.errors import ConfigError, EnduranceWarning
 from memqnn.optim import bn_update
-from memqnn.quantgrid import MetaParams
 from memqnn.xbar import HALF_SPAN
 
 
 def reference_plasticity(grid, w_hidden, m_star, level_idx=None, w_quant=None):
-    if isinstance(m_star, MetaParams):
-        m_star = m_star.m_star
     m = float(m_star)
     if not np.isfinite(m) or m < 0:
         raise ConfigError(f"m_star must be finite and >= 0, got {m}")
@@ -44,8 +41,6 @@ def reference_plasticity(grid, w_hidden, m_star, level_idx=None, w_quant=None):
 
 
 def reference_metaplastic_update(w_hidden, w_quant, u, grid, m_star, lr, level_idx=None):
-    if isinstance(m_star, MetaParams):
-        m_star = m_star.m_star
     w = np.asarray(w_hidden)
     step = lr * u
     if m_star == 0.0:
@@ -144,13 +139,7 @@ def reference_decode(tile):
 def reference_train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     """harness.train_step built from the full-matrix pieces above."""
     loss, grads, _ = mlp.loss_grads(x, y)
-    gdict = {}
-    for i, g in enumerate(grads):
-        gdict[f"w{i}"] = g.w
-        if g.gamma is not None:
-            gdict[f"bn{i}.gamma"] = g.gamma
-            gdict[f"bn{i}.beta"] = g.beta
-    u = reference_adam_directions(adam, gdict)
+    u = reference_adam_directions(adam, grads)
     ops = 0
     for i, layer in enumerate(mlp.layers):
         w_new = reference_metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"],

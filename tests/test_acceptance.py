@@ -27,10 +27,12 @@ from memqnn.harness import (
     read_ops_counts,
     run_sequential,
 )
-from memqnn.net import MLP, softmax_cross_entropy
+from memqnn.net import softmax_cross_entropy
 from memqnn.optim import Adam, bn_update, metaplastic_update
 from memqnn.quantgrid import uniform_grid
 from memqnn.xbar import CrossbarTile, derive_grid, encode_levels, decode_levels
+
+from conftest import uniform_mlp
 
 SEED = 100
 
@@ -206,12 +208,13 @@ def test_criterion_6_property_suite(tmp_path):
         assert np.all(np.diff(vals) < 0)
 
     def gradient_oracle():
-        mlp = MLP((16, 16, 4), grid, np.random.default_rng(3), dtype=np.float64)
+        mlp = uniform_mlp((16, 16, 4), grid, np.random.default_rng(3))
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(8, 16)), rng.integers(0, 4, 8)
         _, grads, _ = mlp.loss_grads(x, y)
         h, checked = 1e-4, 0
-        for layer, g in zip(mlp.layers, grads):
+        for k, layer in enumerate(mlp.layers):
+            g = grads[f"w{k}"]
             fi, fo = layer.w_quant.shape
             for i, j in zip(rng.integers(0, fi, 25), rng.integers(0, fo, 25)):
                 base = layer.w_quant[i, j]
@@ -221,9 +224,9 @@ def test_criterion_6_property_suite(tmp_path):
                     losses.append(softmax_cross_entropy(mlp.forward_tape(x)[0], y)[0])
                 layer.w_quant[i, j] = base
                 fd = (losses[0] - losses[1]) / (2 * h)
-                scale = max(abs(fd), abs(g.w[i, j]))
+                scale = max(abs(fd), abs(g[i, j]))
                 if scale > 1e-6:
-                    assert abs(fd - g.w[i, j]) / scale < 1e-4
+                    assert abs(fd - g[i, j]) / scale < 1e-4
                     checked += 1
         assert checked > 30
 
@@ -251,20 +254,16 @@ def test_criterion_6_property_suite(tmp_path):
     def m0_bitwise():
         def run(update):
             rng = np.random.default_rng(10)
-            mlp = MLP((12, 8, 4), grid, np.random.default_rng(11), dtype=np.float64)
+            mlp = uniform_mlp((12, 8, 4), grid, np.random.default_rng(11))
             adam = Adam()
             for _ in range(15):
                 x, y = rng.normal(size=(16, 12)), rng.integers(0, 4, 16)
                 _, grads, _ = mlp.loss_grads(x, y)
-                gd = {f"w{i}": g.w for i, g in enumerate(grads)}
-                for i, g in enumerate(grads):
-                    if g.gamma is not None:
-                        gd[f"g{i}"], gd[f"b{i}"] = g.gamma, g.beta
-                u = adam.directions(gd)
+                u = adam.directions(grads)
                 for i, layer in enumerate(mlp.layers):
                     layer.set_hidden(update(layer, u[f"w{i}"]))
                     if layer.bn is not None:
-                        bn_update(layer.bn, u[f"g{i}"], u[f"b{i}"], 5e-3)
+                        bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], 5e-3)
             return np.concatenate([l.w_hidden.ravel() for l in mlp.layers])
 
         a = run(lambda l, u: metaplastic_update(l.w_hidden, l.w_quant, u,

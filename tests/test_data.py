@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from memqnn.data import (
-    TaskSchedule,
     TaskSpec,
     batches,
     fetch_dataset,
@@ -131,10 +130,6 @@ class TestTaskSchedule:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigError):
             TaskSpec("mnist", 0)
-
-    def test_schedule_totals(self):
-        s = TaskSchedule([TaskSpec("a", 5), TaskSpec("b", 7)], pretrain_epochs=2)
-        assert s.total_epochs() == 12
 
     def test_dataset_alias(self):
         t = TaskSpec("fmnist", 3, dataset="fashion-mnist")

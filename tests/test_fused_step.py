@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from memqnn import harness
 from memqnn.data import TaskSpec
 from memqnn.device import CellArray, LevelSpec, N_LEVELS, default_levelspec
-from memqnn.net import MLP, DenseLayer
+from memqnn.net import DenseLayer
 from memqnn.optim import Adam, metaplastic_update
 from memqnn.quantgrid import QuantGrid, uniform_grid
 from memqnn.xbar import HALF_SPAN, CrossbarTile, derive_grid, dump_tiles_tsv, encode_levels
 
+from conftest import uniform_mlp
 from oracles import (
     reference_adam_directions,
     reference_decode,
@@ -164,7 +165,7 @@ class TestIncrementalProjection:
 
     def test_non_finite_step_raises(self):
         grid = uniform_grid(17, -1.5, 1.5)
-        mlp = MLP((6, 5, 3), grid, np.random.default_rng(0), dtype=np.float32)
+        mlp = uniform_mlp((6, 5, 3), grid, np.random.default_rng(0), dtype=np.float32)
         x = np.ones((4, 6), np.float32)
         x[0, 0] = np.nan
         with pytest.raises(FloatingPointError):

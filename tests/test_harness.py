@@ -22,6 +22,8 @@ from memqnn.harness import (
     write_ops_histogram_csv,
 )
 
+from conftest import uniform_mlp
+
 
 def synth_config(synth_data_dir, out_dir, **overrides):
     base = dict(
@@ -64,6 +66,10 @@ class TestConfig:
         dict(batch_size=0),
         dict(dtype="float16"),
         dict(tasks=[TaskSpec("a", 1), TaskSpec("a", 2)]),
+        dict(physical_tile=(0, 4)),
+        dict(physical_tile=(4,)),
+        dict(physical_tile=(4, 2.5)),
+        dict(physical_tile=4),
     ])
     def test_validation_failures(self, bad):
         with pytest.raises(ConfigError):
@@ -130,6 +136,13 @@ class TestSequentialRun:
         lines = (res.out_dir / "metrics.csv").read_text().strip().split("\n")
         assert lines == ["epoch,task,cum_ops"]
 
+    @pytest.mark.parametrize("dims", [(63, 24, 10), (64, 24, 5)])
+    def test_dims_must_fit_data(self, synth_data_dir, tmp_path, dims):
+        cfg = synth_config(synth_data_dir, tmp_path / "run", dims=dims)
+        with pytest.raises(ConfigError, match="dims"):
+            run_sequential(cfg)
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
     def test_missing_data_dir_fails(self, tmp_path):
         cfg = synth_config(tmp_path, tmp_path / "run")  # no datasets here
         with pytest.raises(FileNotFoundError):
@@ -152,10 +165,8 @@ class TestSequentialRun:
         assert snap_eval == pytest.approx(on.final_accuracy("synthA"), abs=1e-9)
 
     def test_evaluate_restores_live_bn_state(self, synth_data_dir, tmp_path):
-        from memqnn.net import MLP
         from memqnn.quantgrid import uniform_grid
-        mlp = MLP((64, 8, 10), uniform_grid(17, -1.5, 1.5),
-                  np.random.default_rng(0), dtype=np.float64)
+        mlp = uniform_mlp((64, 8, 10), uniform_grid(17, -1.5, 1.5), np.random.default_rng(0))
         snap = mlp.bn_state()
         mlp.layers[0].bn.gamma += 0.5  # live state diverges from the snapshot
         live_gamma = mlp.layers[0].bn.gamma.copy()
@@ -326,12 +337,17 @@ class TestCli:
 
     def test_invalid_config_exit_code(self, synth_data_dir, tmp_path, capsys):
         cfg = synth_config(synth_data_dir, tmp_path / "bad")
-        payload = json.loads(cfg.to_json())
-        payload["m_star"] = -3
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(payload))
-        assert cli_main(["train", "--config", str(cfg_path)]) == 2
-        assert "error" in capsys.readouterr().err
+        for edit, named in ((lambda d: d.update(m_star=-3), "m_star"),
+                            (lambda d: d.update(m_str=3), "m_str"),
+                            (lambda d: d["tasks"][0].pop("epochs"), "epochs"),
+                            (lambda d: d["tasks"][1].update(lr=0.1), "lr")):
+            payload = json.loads(cfg.to_json())
+            edit(payload)
+            cfg_path = tmp_path / "bad.json"
+            cfg_path.write_text(json.dumps(payload))
+            assert cli_main(["train", "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert "error" in err and named in err
 
     def test_fetch_verify_only(self, real_data_dir, capsys):
         rc = cli_main(["fetch-data", "--dataset", "mnist",

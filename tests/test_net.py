@@ -4,6 +4,8 @@ import pytest
 from memqnn.net import MLP, BatchNorm, init_hidden_uniform, softmax_cross_entropy
 from memqnn.quantgrid import uniform_grid
 
+from conftest import uniform_mlp
+
 
 @pytest.fixture
 def grid17():
@@ -11,7 +13,7 @@ def grid17():
 
 
 def toy_net(grid, dims=(16, 16, 4), seed=0, dtype=np.float64):
-    return MLP(dims, grid, np.random.default_rng(seed), dtype=dtype)
+    return uniform_mlp(dims, grid, np.random.default_rng(seed), dtype=dtype)
 
 
 class TestLoss:
@@ -82,7 +84,7 @@ class TestForward:
         assert np.array_equal(mlp.forward(x), np.zeros((3, 5)))
 
     def test_full_architecture_accepts_mnist_shape(self, grid17):
-        mlp = MLP((784, 512, 512, 10), grid17, np.random.default_rng(0), dtype=np.float32)
+        mlp = uniform_mlp((784, 512, 512, 10), grid17, np.random.default_rng(0), dtype=np.float32)
         x = np.random.default_rng(1).random((4, 784), dtype=np.float32)
         out = mlp.forward(x, train=True, tape=None)
         assert out.shape == (4, 10)
@@ -115,8 +117,9 @@ class TestForward:
         loss_b, grads_b, logits_b = mlp.loss_grads(x, y)
         assert np.array_equal(logits_a, logits_b)
         assert loss_a == loss_b
-        for ga, gb in zip(grads_a, grads_b):
-            assert np.array_equal(ga.w, gb.w)
+        assert grads_a.keys() == grads_b.keys()
+        for name in grads_a:
+            assert np.array_equal(grads_a[name], grads_b[name])
 
 
 class TestBackward:
@@ -130,11 +133,12 @@ class TestBackward:
         x = np.random.default_rng(0).normal(size=(6, 16))
         y = np.random.default_rng(1).integers(0, 4, 6)
         _, grads, _ = mlp.loss_grads(x, y)
-        for layer, g in zip(mlp.layers, grads):
-            assert g.w.shape == layer.w_hidden.shape
+        want = {}
+        for i, layer in enumerate(mlp.layers):
+            want[f"w{i}"] = layer.w_hidden.shape
             if layer.bn is not None:
-                assert g.gamma.shape == layer.bn.gamma.shape
-                assert g.beta.shape == layer.bn.beta.shape
+                want[f"bn{i}.gamma"] = want[f"bn{i}.beta"] = layer.bn.gamma.shape
+        assert {name: g.shape for name, g in grads.items()} == want
 
     def test_separated_batch_has_vanishing_gradients(self, grid17):
         mlp = toy_net(grid17, dims=(4, 4))
@@ -142,7 +146,7 @@ class TestBackward:
         x = 40.0 * np.eye(4)[:2]  # margin ~60 in the logits
         y = np.array([0, 1])
         _, grads, _ = mlp.loss_grads(x, y)
-        assert np.all(np.abs(grads[0].w) < 1e-8)
+        assert np.all(np.abs(grads["w0"]) < 1e-8)
 
     def test_matches_central_finite_differences(self, grid17):
         # float64 oracle on a 16-16-4 toy net, h = 1e-4, entries sampled per matrix
@@ -162,13 +166,14 @@ class TestBackward:
 
         h = 1e-4
         checked = 0
-        for layer, g in zip(mlp.layers, grads):
+        for k, layer in enumerate(mlp.layers):
+            g = grads[f"w{k}"]
             fi, fo = layer.w_quant.shape
             for i, j in zip(rng.integers(0, fi, 25), rng.integers(0, fo, 25)):
                 base = layer.w_quant[i, j]
                 fd = (loss_with(layer, i, j, base + h)
                       - loss_with(layer, i, j, base - h)) / (2 * h)
-                an = g.w[i, j]
+                an = g[i, j]
                 scale = max(abs(fd), abs(an))
                 if scale < 1e-6:
                     continue  # both effectively zero; relative error meaningless
@@ -184,8 +189,8 @@ class TestBackward:
         _, grads, _ = mlp.loss_grads(x, y)
         bn = mlp.layers[0].bn
         h = 1e-5
-        for k, (param, an) in enumerate(((bn.gamma, grads[0].gamma),
-                                         (bn.beta, grads[0].beta))):
+        for k, (param, an) in enumerate(((bn.gamma, grads["bn0.gamma"]),
+                                         (bn.beta, grads["bn0.beta"]))):
             for j in (0, 5, 11):
                 old = param[j]
                 param[j] = old + h
@@ -217,8 +222,16 @@ class TestInitAndState:
         clone.load_state_dict(mlp.state_dict())
         assert np.array_equal(clone.forward(x), ref)
 
+    def test_built_from_matrices(self, grid17):
+        mlp = MLP([np.zeros((6, 5), np.float32), np.zeros((5, 3), np.float32)], grid17)
+        assert mlp.dims == (6, 5, 3) and mlp.dtype == np.float32
+        assert mlp.layers[0].bn.gamma.dtype == np.float32 and mlp.layers[1].bn is None
+        for bad in ([], [np.zeros((6, 5)), np.zeros((4, 3))], [np.zeros(6)]):
+            with pytest.raises(ValueError):
+                MLP(bad, grid17)
+
     def test_state_dims_checked(self, grid17):
         mlp = toy_net(grid17)
-        other = MLP((8, 4), grid17, np.random.default_rng(0))
+        other = toy_net(grid17, dims=(8, 4))
         with pytest.raises(ValueError):
             other.load_state_dict(mlp.state_dict())

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from memqnn.net import MLP
 from memqnn.optim import Adam, bn_update, metaplastic_update
 from memqnn.quantgrid import uniform_grid
+
+from conftest import uniform_mlp
 
 
 @pytest.fixture
@@ -131,19 +132,19 @@ class TestMetaplasticUpdate:
 
 class TestBnUpdate:
     def test_zero_update_unchanged(self, grid17):
-        mlp = MLP((8, 4, 2), grid17, np.random.default_rng(0))
+        mlp = uniform_mlp((8, 4, 2), grid17, np.random.default_rng(0))
         bn = mlp.layers[0].bn
         gamma = bn.gamma.copy()
         bn_update(bn, np.zeros_like(bn.gamma), np.zeros_like(bn.beta), 0.1)
         assert np.array_equal(bn.gamma, gamma)
 
     def test_shape_mismatch_raises(self, grid17):
-        mlp = MLP((8, 4, 2), grid17, np.random.default_rng(0))
+        mlp = uniform_mlp((8, 4, 2), grid17, np.random.default_rng(0))
         with pytest.raises(ValueError):
             bn_update(mlp.layers[0].bn, np.zeros(3), np.zeros(4), 0.1)
 
     def test_bounded_updates_keep_gamma_finite(self, grid17):
-        mlp = MLP((8, 4, 2), grid17, np.random.default_rng(0))
+        mlp = uniform_mlp((8, 4, 2), grid17, np.random.default_rng(0))
         bn = mlp.layers[0].bn
         rng = np.random.default_rng(1)
         for _ in range(1000):
@@ -157,23 +158,17 @@ class TestBitwiseEquivalence:
         metaplastic branch physically removed. Trajectories must be bitwise equal."""
         def run(update_fn, steps=25):
             rng = np.random.default_rng(123)
-            mlp = MLP((12, 10, 4), grid17, np.random.default_rng(7), dtype=np.float64)
+            mlp = uniform_mlp((12, 10, 4), grid17, np.random.default_rng(7))
             adam = Adam()
             for _ in range(steps):
                 x = rng.normal(size=(16, 12))
                 y = rng.integers(0, 4, 16)
                 _, grads, _ = mlp.loss_grads(x, y)
-                gd = {}
-                for i, g in enumerate(grads):
-                    gd[f"w{i}"] = g.w
-                    if g.gamma is not None:
-                        gd[f"g{i}"] = g.gamma
-                        gd[f"b{i}"] = g.beta
-                u = adam.directions(gd)
+                u = adam.directions(grads)
                 for i, layer in enumerate(mlp.layers):
                     layer.set_hidden(update_fn(layer, u[f"w{i}"]))
                     if layer.bn is not None:
-                        bn_update(layer.bn, u[f"g{i}"], u[f"b{i}"], 5e-3)
+                        bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], 5e-3)
             return [layer.w_hidden.copy() for layer in mlp.layers]
 
         with_rule = run(lambda l, u: metaplastic_update(

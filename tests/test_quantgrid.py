@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memqnn.errors import ConfigError
-from memqnn.quantgrid import MetaParams, QuantGrid, uniform_grid
+from memqnn.quantgrid import QuantGrid, uniform_grid
 
 
 @pytest.fixture
@@ -123,10 +123,7 @@ class TestPlasticity:
         assert got == pytest.approx(expect, abs=0)
         assert got == pytest.approx(9.866e-3, abs=1e-6)
 
-    def test_meta_params_wrapper(self, grid17):
-        assert grid17.plasticity(0.0, MetaParams(3.0)) == grid17.plasticity(0.0, 3.0)
-        with pytest.raises(ConfigError):
-            MetaParams(-1.0)
+    def test_negative_m_star_rejected(self, grid17):
         with pytest.raises(ConfigError):
             grid17.plasticity(0.0, -2.0)
 

@@ -10,7 +10,6 @@ from memqnn.xbar import (
     decode_levels,
     derive_grid,
     dump_tiles_tsv,
-    encode_level,
     encode_levels,
     init_hardware_weights,
 )
@@ -28,9 +27,8 @@ def dgrid0():
 
 class TestEncoding:
     def test_examples(self):
-        assert encode_level(8) == (8, 0)
-        assert encode_level(0) == (0, 0)
-        assert encode_level(-3) == (0, 3)
+        plus, minus = encode_levels(np.array([8, 0, -3]))
+        assert plus.tolist() == [8, 0, 0] and minus.tolist() == [0, 0, 3]
 
     def test_roundtrip_exact(self):
         k = np.arange(-HALF_SPAN, HALF_SPAN + 1)
@@ -39,7 +37,7 @@ class TestEncoding:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            encode_level(9)
+            encode_levels(9)
         with pytest.raises(ValueError):
             encode_levels(np.array([0, -9]))
 
