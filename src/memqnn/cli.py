@@ -7,13 +7,14 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .data import DATASETS, fetch_dataset, load_dataset
+from .data import DATASETS, fetch_dataset
 from .errors import ConfigError
 from .harness import (
     ExperimentConfig,
     checkpoint_bn_snapshots,
     evaluate,
     load_checkpoint,
+    load_task_splits,
     ops_histogram,
     preset,
     restore_run,
@@ -25,36 +26,27 @@ from .harness import (
 
 
 def _load_config(args):
+    """The --config file (or preset) with every run option that was given applied."""
     if args.config:
         cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     else:
         cfg = preset(args.preset)
-    overrides = {}
-    if args.m_star is not None:
-        overrides["m_star"] = args.m_star
-    if args.mode is not None:
-        overrides["weight_source"] = args.mode
-        if args.mode == "crossbar":
-            overrides["grid_source"] = "device"
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.data_dir is not None:
-        overrides["data_dir"] = args.data_dir
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.dtype is not None:
-        overrides["dtype"] = args.dtype
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    if args.weight_source == "crossbar":
+        overrides["grid_source"] = "device"
     return dataclasses.replace(cfg, **overrides).validate()
 
 
 def _add_run_options(p):
+    """Options besides --config/--preset are stored under their config field's name."""
     p.add_argument("--config", help="experiment config JSON (overrides the preset)")
     p.add_argument("--preset", choices=("desk", "full"), default="desk")
     p.add_argument("--m-star", type=float, default=None, dest="m_star")
-    p.add_argument("--mode", choices=("exact", "crossbar"), default=None)
+    p.add_argument("--mode", choices=("exact", "crossbar"), default=None, dest="weight_source")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--data-dir", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, dest="out_dir")
     p.add_argument("--dtype", choices=("float32", "float64"), default=None)
 
 
@@ -107,11 +99,11 @@ def cmd_eval(args):
     state = load_checkpoint(args.checkpoint)
     config, mlp, _, _, _ = restore_run(state)
     snapshots = checkpoint_bn_snapshots(state)
-    data_dir = Path(args.data_dir or config.data_dir)
-    for task in config.tasks:
-        split = load_dataset(data_dir / task.data_name, "test", name=task.name)
-        acc = evaluate(mlp, split, config.eval_batch, bn_state=snapshots.get(task.name))
-        print(f"{task.name}: {acc:.2f}%")
+    data_dir = args.data_dir or config.data_dir
+    tests = load_task_splits(dataclasses.replace(config, data_dir=data_dir), ("test",))["test"]
+    for name, split in tests.items():
+        acc = evaluate(mlp, split, config.eval_batch, bn_state=snapshots.get(name))
+        print(f"{name}: {acc:.2f}%")
     return 0
 
 
@@ -158,10 +150,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ConfigError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -109,35 +109,29 @@ class CellArray:
     def program(self, targets, rng, where=None):
         """Single-shot program of the selected cells.
 
-        ``where`` selects the cells: None for all of them, a boolean mask, or
-        an integer array of strictly ascending flat (C-order) cell indices,
-        in which case ``targets`` holds one level per index. An integer array
-        is never read as a mask: a 0/1 mask must be passed as booleans, and
-        indices that repeat, descend or fall outside the array raise
-        ``ValueError``. Every selected cell gets a fresh conductance draw from
-        its target level's distribution (clamped at zero) and an op-count
-        increment, drawn in ascending flat order. Returns the number of
-        program operations performed.
+        ``where`` selects the cells: None for all of them, or an integer array
+        of strictly ascending flat (C-order) cell indices, in which case
+        ``targets`` holds one level per index. Indices that repeat, descend or
+        fall outside the array raise ``ValueError``; any other ``where``,
+        a boolean mask included, raises ``TypeError``. Every selected cell
+        gets a fresh conductance draw from its target level's distribution
+        (clamped at zero) and an op-count increment, drawn in ascending flat
+        order. Returns the number of program operations performed.
         """
-        targets = np.asarray(targets)
-        where = None if where is None else np.asarray(where)
-        if where is None or where.dtype == bool:
-            # targets cover every cell; ``cells`` selects from the flattened state
-            targets = np.broadcast_to(targets, self.shape).reshape(-1)
-            cells = slice(None) if where is None else (
-                np.broadcast_to(where, self.shape).reshape(-1))
-            picked = targets[cells]
-        elif np.issubdtype(where.dtype, np.integer):
-            cells = where.astype(np.intp, copy=False).ravel()
+        if where is None:
+            cells = slice(None)
+            picked = np.broadcast_to(targets, self.shape).reshape(-1)
+        else:
+            cells = np.asarray(where)
+            if not np.issubdtype(cells.dtype, np.integer):
+                raise TypeError(f"where must be None or integer flat indices, not {cells.dtype}")
+            cells = cells.astype(np.intp, copy=False).ravel()
             if cells.size and (cells[0] < 0 or cells[-1] >= self.size
                                or np.any(cells[1:] <= cells[:-1])):
                 raise ValueError("cell indices must be strictly ascending flat indices "
-                                 f"in 0..{self.size - 1}; pass a boolean array as a mask")
-            targets = picked = np.broadcast_to(targets, cells.shape)
-        else:
-            raise TypeError(f"where must be None, a boolean mask or integer flat indices, "
-                            f"not {where.dtype}")
-        if targets.size and (targets.min() < 0 or targets.max() >= N_LEVELS):
+                                 f"in 0..{self.size - 1}")
+            picked = np.broadcast_to(targets, cells.shape)
+        if picked.size and (picked.min() < 0 or picked.max() >= N_LEVELS):
             raise ValueError(f"target levels must lie in 0..{N_LEVELS - 1}")
         if picked.size == 0:
             return 0

@@ -50,6 +50,7 @@ __all__ = [
     "MetricsRecord",
     "RunResult",
     "preset",
+    "load_task_splits",
     "evaluate",
     "run_sequential",
     "run_repeated",
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+_BN_PARTS = ("gamma", "beta", "mean", "var")  # one bn_state() entry per layer
 
 
 @dataclass
@@ -150,12 +152,7 @@ class ExperimentConfig:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["dims"] = list(self.dims)
-        d["tasks"] = [dataclasses.asdict(t) for t in self.tasks]
-        if self.physical_tile is not None:
-            d["physical_tile"] = list(self.physical_tile)
-        return d
+        return dataclasses.asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -183,8 +180,13 @@ class ExperimentConfig:
         return default_levelspec(self.device_sigma_frac)
 
 
+# exact types, so that a JSON true is not taken for an int
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
+               "list": (list,), "tuple": (list, tuple), "None": (type(None),)}
+
+
 def _check_keys(what, cls, d):
-    """ConfigError naming the keys of ``d`` that ``cls`` does not know or needs."""
+    """ConfigError naming the keys of ``d`` that ``cls`` does not know, needs or types."""
     fields = dataclasses.fields(cls)
     unknown = sorted(set(d) - {f.name for f in fields})
     missing = [f.name for f in fields if f.name not in d
@@ -192,6 +194,9 @@ def _check_keys(what, cls, d):
                and f.default_factory is dataclasses.MISSING]
     problems = [f"{kind} keys {keys}"
                 for kind, keys in (("unknown", unknown), ("missing", missing)) if keys]
+    problems += [f"{f.name} must be {f.type}, got {d[f.name]!r}" for f in fields
+                 if f.name in d and type(d[f.name]) not in sum(
+                     (_JSON_TYPES[t] for t in f.type.split(" | ")), ())]
     if problems:
         raise ConfigError(f"{what}: " + ", ".join(problems))
 
@@ -228,9 +233,6 @@ class RunResult:
     config: ExperimentConfig
     records: list
     cum_ops: int
-
-    def accuracy_curve(self, task_name):
-        return [r.accuracies[task_name] for r in self.records]
 
     def final_accuracy(self, task_name):
         return self.records[-1].accuracies[task_name] if self.records else float("nan")
@@ -277,6 +279,25 @@ def build_model(config, init_rng, device_rng):
     for layer, tile in zip(mlp.layers, tiles):
         layer.bind_tile(tile)
     return mlp, dgrid, init_ops
+
+
+def load_task_splits(config, parts=("train", "test")):
+    """{part: {task name: split}} from ``config.data_dir``, in the run dtype.
+
+    Splits load task by task, in ``parts`` order; one whose pixel count or
+    labels do not fit ``config.dims`` raises ConfigError.
+    """
+    splits = {part: {} for part in parts}
+    for task in config.tasks:
+        task_dir = Path(config.data_dir) / task.data_name
+        for part in parts:
+            split = load_dataset(task_dir, part, name=task.name, dtype=np.dtype(config.dtype))
+            top = split.labels.max(initial=0)
+            if split.images.shape[1] != config.dims[0] or top >= config.dims[-1]:
+                raise ConfigError(f"{task_dir} {part}: {split.images.shape[1]} pixels and "
+                                  f"labels up to {top} do not fit dims {config.dims}")
+            splits[part][task.name] = split
+    return splits
 
 
 def evaluate(mlp, split, eval_batch=1000, bn_state=None):
@@ -358,12 +379,9 @@ def save_checkpoint(path, config, mlp, adam, data_rng, device_rng, epoch, cum_op
     state.update(mlp.state_dict())
     state.update({f"adam.{k}": v for k, v in adam.state_dict().items()})
     for task_name, snap in (bn_snapshots or {}).items():
-        for i, (gamma, beta, mean, var) in enumerate(snap):
-            base = f"bnsnap.{task_name}.{i}."
-            state[base + "gamma"] = gamma
-            state[base + "beta"] = beta
-            state[base + "mean"] = mean
-            state[base + "var"] = var
+        for i, arrays in enumerate(snap):
+            for part, arr in zip(_BN_PARTS, arrays):
+                state[f"bnsnap.{task_name}.{i}.{part}"] = arr
     np.savez_compressed(path, **state)
 
 
@@ -374,15 +392,9 @@ def checkpoint_bn_snapshots(state):
         if key.startswith("bnsnap.") and key.endswith(".gamma"):
             task_name, idx = key[len("bnsnap."):-len(".gamma")].rsplit(".", 1)
             tasks.setdefault(task_name, set()).add(int(idx))
-    out = {}
-    for task_name, idxs in tasks.items():
-        snap = []
-        for i in sorted(idxs):
-            base = f"bnsnap.{task_name}.{i}."
-            snap.append((state[base + "gamma"], state[base + "beta"],
-                         state[base + "mean"], state[base + "var"]))
-        out[task_name] = snap
-    return out
+    return {task_name: [tuple(state[f"bnsnap.{task_name}.{i}.{part}"]
+                              for part in _BN_PARTS) for i in sorted(idxs)]
+            for task_name, idxs in tasks.items()}
 
 
 def load_checkpoint(path):
@@ -425,18 +437,7 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
     device_rng = np.random.default_rng(device_ss)
 
     mlp, dgrid, cum_ops = build_model(config, init_rng, device_rng)
-
-    dtype = np.dtype(config.dtype)
-    train_splits, test_splits = {}, {}
-    for task in config.tasks:
-        task_dir = Path(config.data_dir) / task.data_name
-        for part, splits in (("train", train_splits), ("test", test_splits)):
-            split = load_dataset(task_dir, part, name=task.name, dtype=dtype)
-            top = split.labels.max(initial=0)
-            if split.images.shape[1] != config.dims[0] or top >= config.dims[-1]:
-                raise ConfigError(f"{task_dir} {part}: {split.images.shape[1]} pixels and "
-                                  f"labels up to {top} do not fit dims {config.dims}")
-            splits[task.name] = split
+    splits = load_task_splits(config)
 
     adam = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
     task_names = [t.name for t in config.tasks]
@@ -446,14 +447,14 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
     started = time.perf_counter()
     global_epoch = 0
     for task_index, task in enumerate(config.tasks):
-        split = train_splits[task.name]
+        split = splits["train"][task.name]
         for _ in range(task.epochs):
             m_eff = _effective_m_star(config, task, task_index, global_epoch)
             for x, y in batches(split, config.batch_size, data_rng):
                 _, ops = train_step(mlp, adam, x, y, m_eff, config.lr, dgrid)
                 cum_ops += ops
             global_epoch += 1
-            accs = {name: evaluate(mlp, test_splits[name], config.eval_batch,
+            accs = {name: evaluate(mlp, splits["test"][name], config.eval_batch,
                                    bn_state=bn_snapshots.get(name))
                     for name in task_names}
             rec = MetricsRecord(global_epoch, task.name, accs, cum_ops,
@@ -477,36 +478,39 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
                                 ops_histogram([l.tile for l in mlp.layers]))
         (out / "ops_histogram_by_epoch.csv").write_text(
             "\n".join(["epoch,ops_lo,ops_hi,pct_devices"] + hist_rows) + "\n")
+    result = RunResult(out, config, records, int(cum_ops))
     summary = {
         "wall_seconds": time.perf_counter() - started,
-        "cum_ops": int(cum_ops),
-        "final": {n: (records[-1].accuracies[n] if records else None) for n in task_names},
-        "max": {n: (max(r.accuracies[n] for r in records) if records else None)
-                for n in task_names},
+        "cum_ops": result.cum_ops,
+        "final": {n: result.final_accuracy(n) for n in task_names},
+        "max": {n: result.max_accuracy(n) for n in task_names},
     }
     (out / "run.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return RunResult(out, config, records, int(cum_ops))
+    return result
+
+
+def _run_each(config, subs, log):
+    """run_sequential per (sub-directory, overrides) pair, under ``config.out_dir``."""
+    base_out = Path(config.out_dir)
+    base_out.mkdir(parents=True, exist_ok=True)
+    return [run_sequential(dataclasses.replace(config, out_dir=str(base_out / name), **kw),
+                           log=log)
+            for name, kw in subs]
 
 
 def run_repeated(config: ExperimentConfig, repeats, log=None):
     """Independent repeats (seed + i); writes mean/std summary next to the runs."""
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
-    base_out = Path(config.out_dir)
-    results = []
-    for i in range(repeats):
-        sub = dataclasses.replace(config, seed=config.seed + i,
-                                  out_dir=str(base_out / f"rep{i}"))
-        results.append(run_sequential(sub, log=log))
-    task_names = [t.name for t in config.tasks]
-    base_out.mkdir(parents=True, exist_ok=True)
+    results = _run_each(config, [(f"rep{i}", {"seed": config.seed + i})
+                                 for i in range(repeats)], log)
     lines = ["task,final_mean,final_std,max_mean,max_std"]
-    for name in task_names:
+    for name in (t.name for t in config.tasks):
         finals = np.array([r.final_accuracy(name) for r in results])
         maxes = np.array([r.max_accuracy(name) for r in results])
         lines.append(f"{name},{finals.mean():.4f},{finals.std():.4f},"
                      f"{maxes.mean():.4f},{maxes.std():.4f}")
-    (base_out / "summary.csv").write_text("\n".join(lines) + "\n")
+    (Path(config.out_dir) / "summary.csv").write_text("\n".join(lines) + "\n")
     return results
 
 
@@ -515,16 +519,10 @@ def run_sweep(config: ExperimentConfig, m_values, log=None):
     values = list(m_values)
     if not values:
         raise ConfigError("sweep needs at least one m* value")
-    base_out = Path(config.out_dir)
-    base_out.mkdir(parents=True, exist_ok=True)
+    results = _run_each(config, [(f"mstar_{m:g}", {"m_star": float(m)}) for m in values], log)
     task_names = [t.name for t in config.tasks]
-    results = []
     rows = []
-    for m in values:
-        sub = dataclasses.replace(config, m_star=float(m),
-                                  out_dir=str(base_out / f"mstar_{m:g}"))
-        res = run_sequential(sub, log=log)
-        results.append(res)
+    for m, res in zip(values, results):
         row = [f"{m:g}"]
         row += [f"{res.final_accuracy(n):.4f}" for n in task_names]
         row += [f"{res.max_accuracy(n):.4f}" for n in task_names]
@@ -533,7 +531,7 @@ def run_sweep(config: ExperimentConfig, m_values, log=None):
     header = ("m_star,"
               + ",".join(f"final_acc_{n}" for n in task_names) + ","
               + ",".join(f"max_acc_{n}" for n in task_names) + ",cum_ops")
-    (base_out / "sweep.csv").write_text("\n".join([header] + rows) + "\n")
+    (Path(config.out_dir) / "sweep.csv").write_text("\n".join([header] + rows) + "\n")
     return results
 
 

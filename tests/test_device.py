@@ -81,10 +81,10 @@ class TestProgram:
         cells = CellArray((6,), spec)
         rng = np.random.default_rng(3)
         cells.program(np.arange(6) % N_LEVELS, rng)
-        mask = np.array([True, False, True, False, False, False])
-        n = cells.program(np.full(6, 8), rng, where=mask)
+        picked = np.array([0, 2])
+        n = cells.program(np.full(2, 8), rng, where=picked)
         assert n == 2
-        assert np.array_equal(cells.ops, np.where(mask, 2, 1))
+        assert np.array_equal(cells.ops, [2, 1, 2, 1, 1, 1])
         assert cells.level[1] == 1 and cells.level[0] == 8
 
     def test_invalid_level_rejected(self, spec):

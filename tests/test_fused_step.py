@@ -280,8 +280,10 @@ class TestWriteOracle:
         cells = CellArray((2, 2), default_levelspec())
         with pytest.raises(TypeError):
             cells.program(3, np.random.default_rng(0), where=np.ones((2, 2)))
-        # the same selection as a boolean mask programs
-        assert cells.program(3, np.random.default_rng(0), where=np.eye(2, dtype=bool)) == 2
+        # a boolean mask is not a selection mode either
+        with pytest.raises(TypeError):
+            cells.program(3, np.random.default_rng(0), where=np.eye(2, dtype=bool))
+        assert (cells.level == -1).all() and not cells.ops.any()
 
     def test_dump_tiles_tsv_bytes(self, tmp_path):
         tiles = [CrossbarTile(5, 3, derive_grid(default_levelspec()), np.random.default_rng(i))

@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from memqnn.cli import main as cli_main
+from memqnn import cli
+from memqnn.cli import build_parser, main as cli_main
 from memqnn.data import TaskSpec, load_dataset
 from memqnn.errors import ConfigError
 from memqnn.harness import (
@@ -22,7 +24,7 @@ from memqnn.harness import (
     write_ops_histogram_csv,
 )
 
-from conftest import uniform_mlp
+from conftest import make_synth_task, uniform_mlp
 
 
 def synth_config(synth_data_dir, out_dir, **overrides):
@@ -47,6 +49,17 @@ class TestConfig:
         cfg = preset("desk", seed=3, out_dir=str(tmp_path))
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    def test_json_bytes_pinned(self):
+        # guards the serialized form: json writes the tuple fields as lists
+        cfg = ExperimentConfig(grid_source="explicit",
+                               grid_level_values=[-1.0, -0.25, 0.0, 0.25, 1.0],
+                               physical_tile=(32, 16), data_dir="data/pinned",
+                               out_dir="runs/pinned")
+        text = cfg.to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "64e8406c7715a9cdb6d8c6bad3cd5f04ff336887e58fe849e8b458b3a8487ee6")
+        assert ExperimentConfig.from_json(text) == cfg
 
     def test_preset_scales(self):
         assert preset("full").dims == (784, 512, 512, 10)
@@ -323,6 +336,52 @@ class TestCli:
                          "--data-dir", str(synth_data_dir)]) == 0
         assert "synthA:" in capsys.readouterr().out
 
+    def test_run_flags_land_in_config_fields(self, synth_data_dir, tmp_path):
+        cfg = synth_config(synth_data_dir, tmp_path / "flags")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+
+        def load(*flags):
+            return cli._load_config(build_parser().parse_args(
+                ["train", "--config", str(cfg_path), *flags]))
+
+        assert load() == cfg  # unset flags keep the file's values
+        for flags, fields in (
+                (["--m-star", "5"], dict(m_star=5.0)),
+                (["--mode", "crossbar"], dict(weight_source="crossbar", grid_source="device")),
+                (["--seed", "9"], dict(seed=9)),
+                (["--data-dir", "elsewhere"], dict(data_dir="elsewhere")),
+                (["--out", "runs/o"], dict(out_dir="runs/o")),
+                (["--dtype", "float64"], dict(dtype="float64"))):
+            assert load(*flags) == dataclasses.replace(cfg, **fields), flags
+
+    def test_eval_uses_run_dtype(self, synth_data_dir, tmp_path, capsys, monkeypatch):
+        cfg = synth_config(synth_data_dir, tmp_path / "f64", dtype="float64",
+                           tasks=[TaskSpec("synthA", 1), TaskSpec("synthB", 1)],
+                           pretrain_epochs=0)
+        res = run_sequential(cfg)
+        seen = []
+
+        def spy(mlp, split, *args, **kwargs):
+            seen.append(split.images.dtype)
+            return evaluate(mlp, split, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", spy)
+        assert cli_main(["eval", "--checkpoint", str(res.out_dir / "checkpoint.npz")]) == 0
+        assert seen == [np.float64, np.float64]
+        # the final accuracies are the last row of metrics.csv
+        assert capsys.readouterr().out.splitlines() == [
+            f"{n}: {res.final_accuracy(n):.2f}%" for n in ("synthA", "synthB")]
+
+    def test_eval_dims_must_fit_data(self, synth_data_dir, tmp_path, capsys):
+        cfg = synth_config(synth_data_dir, tmp_path / "ev",
+                           tasks=[TaskSpec("synthA", 1)], pretrain_epochs=0)
+        res = run_sequential(cfg)
+        make_synth_task(tmp_path / "small" / "synthA", "forward", n_train=20, n_test=20, side=6)
+        assert cli_main(["eval", "--checkpoint", str(res.out_dir / "checkpoint.npz"),
+                         "--data-dir", str(tmp_path / "small")]) == 2
+        assert "do not fit dims" in capsys.readouterr().err
+
     def test_sweep_and_hist(self, synth_data_dir, tmp_path, capsys):
         cfg = synth_config(synth_data_dir, tmp_path / "clis",
                            weight_source="crossbar", grid_source="device",
@@ -340,7 +399,11 @@ class TestCli:
         for edit, named in ((lambda d: d.update(m_star=-3), "m_star"),
                             (lambda d: d.update(m_str=3), "m_str"),
                             (lambda d: d["tasks"][0].pop("epochs"), "epochs"),
-                            (lambda d: d["tasks"][1].update(lr=0.1), "lr")):
+                            (lambda d: d["tasks"][1].update(lr=0.1), "lr"),
+                            (lambda d: d.update(dims=784), "dims"),
+                            (lambda d: d["tasks"][0].update(epochs="3"), "epochs"),
+                            (lambda d: d.update(lr="fast"), "lr"),
+                            (lambda d: d.update(batch_size=True), "batch_size")):
             payload = json.loads(cfg.to_json())
             edit(payload)
             cfg_path = tmp_path / "bad.json"
