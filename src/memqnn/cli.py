@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .data import DATASETS, fetch_dataset
-from .errors import ConfigError
+from .errors import ConfigError, IdxFormatError
 from .harness import (
     ExperimentConfig,
     checkpoint_bn_snapshots,
@@ -75,7 +75,10 @@ def cmd_train(args):
 
 def cmd_sweep(args):
     cfg = _load_config(args)
-    values = [float(v) for v in args.m_stars.split(",") if v.strip() != ""]
+    try:
+        values = [float(v) for v in args.m_stars.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"--m-stars takes numbers, got {args.m_stars!r}") from None
     results = run_sweep(cfg, values, log=print if args.verbose else None)
     for m, res in zip(values, results):
         finals = " ".join(f"{t.name}={res.final_accuracy(t.name):.2f}" for t in cfg.tasks)
@@ -150,7 +153,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, IdxFormatError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

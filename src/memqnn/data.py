@@ -143,13 +143,15 @@ def load_idx(images_path, labels_path, name="", dtype=np.float32):
 
     Pixels are scaled by 1/255; no centering (the first batch-norm layer
     absorbs it). Raises IdxFormatError on malformed payloads and ConfigError
-    when the two files disagree on the record count.
+    when the two files disagree on the record count or hold no records.
     """
     images = _parse_idx(_read_bytes(images_path), IMAGE_MAGIC, images_path)
     labels = _parse_idx(_read_bytes(labels_path), LABEL_MAGIC, labels_path)
     if images.shape[0] != labels.shape[0]:
         raise ConfigError(
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
+    if images.shape[0] == 0:
+        raise ConfigError(f"{images_path}: no records")
     if labels.size and labels.max() > 9:
         raise ConfigError(f"{labels_path}: labels above 9 present")
     dtype = np.dtype(dtype)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, EnduranceWarning
 
-__all__ = ["LevelSpec", "CellArray", "N_LEVELS", "default_levelspec"]
+__all__ = ["LevelSpec", "CellArray", "N_LEVELS", "default_levelspec", "flat_indices"]
 
 N_LEVELS = 9  # LCS plus eight compliance-current-defined HCS states
 
@@ -83,6 +83,17 @@ def default_levelspec(sigma_frac=0.08):
     return LevelSpec(means, sigma_frac * means)
 
 
+def flat_indices(where, size):
+    """Integer ``where`` as strictly ascending flat (C-order) indices below ``size``."""
+    idx = np.asarray(where)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise TypeError(f"where must be None or integer flat indices, not {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False).ravel()
+    if idx.size and (idx[0] < 0 or idx[-1] >= size or np.any(idx[1:] <= idx[:-1])):
+        raise ValueError(f"indices must be strictly ascending flat indices in 0..{size - 1}")
+    return idx
+
+
 class CellArray:
     """An array of independent 1T1R cells (a single cell is the shape-(1,) case).
 
@@ -109,11 +120,9 @@ class CellArray:
     def program(self, targets, rng, where=None):
         """Single-shot program of the selected cells.
 
-        ``where`` selects the cells: None for all of them, or an integer array
-        of strictly ascending flat (C-order) cell indices, in which case
-        ``targets`` holds one level per index. Indices that repeat, descend or
-        fall outside the array raise ``ValueError``; any other ``where``,
-        a boolean mask included, raises ``TypeError``. Every selected cell
+        ``where`` selects the cells: None for all of them, or flat indices
+        checked by ``flat_indices`` (a boolean mask is a ``TypeError``), in
+        which case ``targets`` holds one level per index. Every selected cell
         gets a fresh conductance draw from its target level's distribution
         (clamped at zero) and an op-count increment, drawn in ascending flat
         order. Returns the number of program operations performed.
@@ -122,14 +131,7 @@ class CellArray:
             cells = slice(None)
             picked = np.broadcast_to(targets, self.shape).reshape(-1)
         else:
-            cells = np.asarray(where)
-            if not np.issubdtype(cells.dtype, np.integer):
-                raise TypeError(f"where must be None or integer flat indices, not {cells.dtype}")
-            cells = cells.astype(np.intp, copy=False).ravel()
-            if cells.size and (cells[0] < 0 or cells[-1] >= self.size
-                               or np.any(cells[1:] <= cells[:-1])):
-                raise ValueError("cell indices must be strictly ascending flat indices "
-                                 f"in 0..{self.size - 1}")
+            cells = flat_indices(where, self.size)
             picked = np.broadcast_to(targets, cells.shape)
         if picked.size and (picked.min() < 0 or picked.max() >= N_LEVELS):
             raise ValueError(f"target levels must lie in 0..{N_LEVELS - 1}")

@@ -43,7 +43,7 @@ from .errors import ConfigError
 from .net import MLP, init_hidden_uniform
 from .optim import Adam, bn_update, metaplastic_update
 from .quantgrid import QuantGrid, uniform_grid
-from .xbar import derive_grid, dump_tiles_tsv, init_hardware_weights
+from .xbar import derive_grid, dump_tiles_tsv, encode_levels, init_hardware_weights
 
 __all__ = [
     "ExperimentConfig",
@@ -66,6 +66,7 @@ __all__ = [
 
 CHECKPOINT_VERSION = 1
 _BN_PARTS = ("gamma", "beta", "mean", "var")  # one bn_state() entry per layer
+_HIST_ROW = "{},{},{:.6f}"  # one ops_histogram row: ops_lo, ops_hi, pct_devices
 
 
 @dataclass
@@ -159,12 +160,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
         _check_keys("config", cls, d)
+        d = dict(d)
         if "dims" in d:
             d["dims"] = tuple(d["dims"])
-        for t in d.get("tasks", []):
-            _check_keys(f"task {t.get('name')!r}", TaskSpec, t)
+        for i, t in enumerate(d.get("tasks", [])):
+            _check_keys(f"tasks[{i}]", TaskSpec, t)
         d["tasks"] = [TaskSpec(**t) for t in d.get("tasks", [])]
         if isinstance(d.get("physical_tile"), list):
             d["physical_tile"] = tuple(d["physical_tile"])
@@ -172,7 +173,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"config is not valid JSON: {e}") from None
+        return cls.from_dict(d)
 
     def level_spec(self):
         if self.device_rows is not None:
@@ -187,6 +192,8 @@ _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (boo
 
 def _check_keys(what, cls, d):
     """ConfigError naming the keys of ``d`` that ``cls`` does not know, needs or types."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
     fields = dataclasses.fields(cls)
     unknown = sorted(set(d) - {f.name for f in fields})
     missing = [f.name for f in fields if f.name not in d
@@ -329,11 +336,12 @@ def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     for i, layer in enumerate(mlp.layers):
         w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"],
                                    mlp.grid, m_star, lr, layer.level_idx)
-        layer.update_hidden(w_new)
+        moved = layer.update_hidden(w_new)
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)
         if layer.tile is not None:
-            ops += layer.tile.write_levels(dgrid.signed_levels(layer.level_idx))
+            ops += layer.tile.write_levels(
+                dgrid.signed_levels(np.take(layer.level_idx, moved)), where=moved)
     return loss, ops
 
 
@@ -407,12 +415,21 @@ def load_checkpoint(path):
 
 
 def restore_run(state):
-    """Rebuild (config, mlp, adam, data_rng, device_rng) from checkpoint state."""
+    """Rebuild (config, mlp, adam, data_rng, device_rng) from checkpoint state.
+
+    A tile whose cells do not encode its layer's levels raises ConfigError:
+    training rewrites only pairs whose level changes, so it would never mend it.
+    """
     config = ExperimentConfig.from_dict(_unpack_json(state["config_json"]))
     data_rng, device_rng = np.random.default_rng(0), np.random.default_rng(0)
     # the tiles keep drawing from device_rng, whose state is restored below
-    mlp, _, _ = build_model(config, np.random.default_rng(0), device_rng)
+    mlp, dgrid, _ = build_model(config, np.random.default_rng(0), device_rng)
     mlp.load_state_dict(state)
+    for i, layer in enumerate(mlp.layers):
+        tile = layer.tile
+        if tile is not None and not all(map(np.array_equal, (tile.plus.level, tile.minus.level),
+                                            encode_levels(dgrid.signed_levels(layer.level_idx)))):
+            raise ConfigError(f"checkpoint tile{i} cells do not encode layer {i}'s levels")
     adam = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
     adam.load_state_dict({k[len("adam."):]: v for k, v in state.items()
                           if k.startswith("adam.")})
@@ -443,7 +460,8 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
     task_names = [t.name for t in config.tasks]
     records = []
     bn_snapshots = {}  # task name -> BN state frozen when its training ended
-    hist_rows = []     # (epoch, bucket_lo, bucket_hi, pct) snapshots, crossbar only
+    hist_rows = []     # "epoch,lo,hi,pct" lines, crossbar only
+    hist = None        # the latest epoch's histogram
     started = time.perf_counter()
     global_epoch = 0
     for task_index, task in enumerate(config.tasks):
@@ -461,8 +479,8 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
                                 time.perf_counter() - started)
             records.append(rec)
             if config.weight_source == "crossbar":
-                for lo, hi, pct in ops_histogram([l.tile for l in mlp.layers]):
-                    hist_rows.append(f"{global_epoch},{lo},{hi},{pct:.6f}")
+                hist = ops_histogram([l.tile for l in mlp.layers])
+                hist_rows += [f"{global_epoch}," + _HIST_ROW.format(*row) for row in hist]
             if log:
                 accs_s = " ".join(f"{n}={accs[n]:.2f}" for n in task_names)
                 log(f"epoch {global_epoch:3d} [{task.name} m*={m_eff:g}] {accs_s} ops={cum_ops}")
@@ -475,7 +493,7 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
     if config.weight_source == "crossbar":
         dump_tiles_tsv(out / "devices.tsv", [l.tile for l in mlp.layers])
         write_ops_histogram_csv(out / "ops_histogram.csv",
-                                ops_histogram([l.tile for l in mlp.layers]))
+                                hist or ops_histogram([l.tile for l in mlp.layers]))
         (out / "ops_histogram_by_epoch.csv").write_text(
             "\n".join(["epoch,ops_lo,ops_hi,pct_devices"] + hist_rows) + "\n")
     result = RunResult(out, config, records, int(cum_ops))
@@ -567,5 +585,5 @@ def ops_histogram(source, bucket_width=5):
 
 def write_ops_histogram_csv(path, rows):
     lines = ["ops_lo,ops_hi,pct_devices"]
-    lines += [f"{lo},{hi},{pct:.6f}" for lo, hi, pct in rows]
+    lines += [_HIST_ROW.format(*row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -122,8 +122,9 @@ class DenseLayer:
         Same result as ``set_hidden``, at the cost of one comparison pass plus
         work on the weights whose level changed: a weight outside the
         interval (lo, hi] of its current level is re-projected, which may jump
-        several levels; every other weight keeps its level. The shape and
-        dtype must match the current hidden weights. Non-finite weights raise
+        several levels, and its flat index is returned (ascending); every
+        other weight keeps its level. The shape and dtype must match the
+        current hidden weights. Non-finite weights raise
         ``FloatingPointError`` and leave the layer unchanged.
         """
         w = np.asarray(w_hidden)
@@ -142,6 +143,7 @@ class DenseLayer:
         for bound, new in zip(self._bounds, self.grid.level_bounds(idx, w.dtype)):
             np.put(bound, moved, new)
         self.w_hidden = w
+        return moved
 
     def bind_tile(self, tile):
         if tile.shape != self.w_hidden.shape:

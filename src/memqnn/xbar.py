@@ -12,11 +12,11 @@ Matrix-vector products run over the sampled conductances, multiply by Ohm's
 law and accumulate by Kirchhoff's current law, so programming variability
 propagates into both training and evaluation. Reprogramming follows the
 level-change policy: a cell is pulsed only when its target state differs from
-the state it currently holds. A tile remembers the signed level of its last
-write, so a write touches only the pairs whose level changed (0.2-0.7% per
-training step on the synthetic benchmark tasks), programs them in a fixed
-order that keeps the device RNG stream reproducible, and patches its cached
-decoded weights in place rather than decoding the whole matrix again.
+the state it currently holds. A training step writes only the pairs whose
+layer re-projected their weight to a new level (0.2-0.7% per step on the
+synthetic benchmark tasks); the tile programs them in a fixed order that keeps
+the device RNG stream reproducible and patches its cached decoded weights in
+place rather than decoding the whole matrix again.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import CellArray, LevelSpec, DEFAULT_ENDURANCE, N_LEVELS
+from .device import CellArray, LevelSpec, DEFAULT_ENDURANCE, N_LEVELS, flat_indices
 from .quantgrid import QuantGrid
 
 __all__ = [
@@ -86,13 +86,11 @@ class CrossbarTile:
     """rows x cols differential pairs implementing one layer's quantized weights.
 
     The tile owns its RNG stream so programming draws are reproducible
-    regardless of what the surrounding training loop does. It remembers the
-    signed level each pair was last written with, so a write visits only the
-    pairs whose level changed; cells must therefore change only through
-    ``write_levels`` or ``load_state_dict``, not through ``plus``/``minus``
-    directly. Decoded effective weights are cached and
-    patched in place when pairs are reprogrammed, because conductances only
-    change when a cell is pulsed.
+    regardless of what the surrounding training loop does. Its only state is
+    its cells: which pairs to write is the caller's to say. Decoded effective
+    weights are cached and patched in place when pairs are reprogrammed
+    through ``write_levels``, because conductances only change when a cell is
+    pulsed.
     """
 
     def __init__(self, rows, cols, dgrid: DeviceGrid, rng,
@@ -108,7 +106,6 @@ class CrossbarTile:
         self.minus = CellArray((rows, cols), dgrid.spec, endurance)
         self.physical_tile = physical_tile  # (rows, cols) of one physical array, or None
         self._w_eff = None
-        self._written = None  # signed level of every pair; None: cell states unknown
 
     @property
     def shape(self):
@@ -116,30 +113,30 @@ class CrossbarTile:
 
     # -- programming ---------------------------------------------------------
 
-    def write_levels(self, signed_levels):
-        """Program cells whose target state changed; returns ops performed.
+    def write_levels(self, signed_levels, where=None):
+        """Program the selected pairs' cells whose state changed; returns ops.
 
-        The tile remembers the signed level of its last write and visits only
-        the pairs whose level changed; a pristine or freshly loaded tile does
-        not know its last write, so it visits every pair. A visited cell is
+        ``where`` selects pairs as ``CellArray.program``'s ``where`` selects
+        cells: None visits every pair of a full level matrix, flat indices
+        visit only those pairs, one signed level each. A visited cell is
         programmed only if its own target state differs from the state it
-        holds, and pristine cells differ from every target, so the first
-        write programs every cell exactly once, LCS targets included. Cells
-        are programmed plus first, then minus, each in ascending flat order.
+        holds, and pristine cells differ from every target, so a first write
+        of every pair programs every cell exactly once, LCS targets included.
+        Cells are programmed plus first, then minus, each in ascending flat
+        order.
         """
-        k = np.asarray(signed_levels)
-        if k.shape != self.shape:
-            raise ValueError(f"level matrix shape {k.shape} != tile shape {self.shape}")
-        known = self._written is not None
-        pairs = np.flatnonzero(k != self._written) if known else np.arange(k.size)
-        k_new = np.take(k, pairs)
+        if where is None:
+            k = np.asarray(signed_levels)
+            if k.shape != self.shape:
+                raise ValueError(f"level matrix shape {k.shape} != tile shape {self.shape}")
+            pairs, k = np.arange(k.size), k.reshape(-1)
+        else:
+            pairs = flat_indices(where, self.plus.size)
+            k = np.broadcast_to(signed_levels, pairs.shape)
         ops = 0
-        for cells, targets in zip((self.plus, self.minus), encode_levels(k_new)):
+        for cells, targets in zip((self.plus, self.minus), encode_levels(k)):
             changed = np.take(cells.level, pairs) != targets
             ops += cells.program(targets[changed], self.rng, where=pairs[changed])
-        if not known:
-            self._written = np.empty(self.shape, dtype=np.int8)
-        self._written.reshape(-1)[pairs] = k_new  # a view: allocated C-contiguous
         if self._w_eff is not None:
             np.put(self._w_eff, pairs,
                    self._decode(np.take(self.plus.g, pairs), np.take(self.minus.g, pairs)))
@@ -219,7 +216,6 @@ class CrossbarTile:
         self.plus.load_state_dict(state, prefix + "plus.")
         self.minus.load_state_dict(state, prefix + "minus.")
         self._w_eff = None
-        self._written = None
 
 
 def init_hardware_weights(shapes, dgrid: DeviceGrid, rng,

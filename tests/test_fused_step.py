@@ -134,8 +134,10 @@ class TestIncrementalProjection:
             ties = hidden_weights(rng, grid, dtype, layer.shape, spread=0.0)
             pick = rng.random(layer.shape) < 0.2
             w_new[pick] = ties[pick]
-            assert layer.update_hidden(w_new) is None
+            old_idx = layer.level_idx.copy()
+            moved = layer.update_hidden(w_new)
             idx, wq = reference_projection(grid, w_new)
+            assert same_bytes(moved, np.flatnonzero(idx != old_idx))
             assert same_bytes(layer.level_idx, idx)
             assert same_bytes(layer.w_quant, wq)
             assert layer.w_hidden is w_new
@@ -199,21 +201,32 @@ class TestWriteOracle:
         rng = np.random.default_rng(seed)
         dgrid = device_grid(rng)
         shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-        ours = CrossbarTile(*shape, dgrid, np.random.default_rng(seed), dtype=dtype)
-        ref = CrossbarTile(*shape, dgrid, np.random.default_rng(seed), dtype=dtype)
+        # every pair, the changed pairs only, and the full-matrix oracle
+        ours, sparse, ref = (CrossbarTile(*shape, dgrid, np.random.default_rng(seed), dtype=dtype)
+                             for _ in range(3))
+        previous = None
         for k, read in zip(_write_sequence(rng, shape, 5), reads):
-            if read == "decode":    # a cached decode must be patched, not left stale
-                ours.effective_weights()
-            elif read == "reload":  # restored tiles do not know their last write
-                ours.load_state_dict(ours.state_dict())
-            assert ours.write_levels(k) == reference_write_levels(ref, k)
-            for side in ("plus", "minus"):
-                a, b = getattr(ours, side), getattr(ref, side)
-                assert same_bytes(a.g, b.g) and same_bytes(a.level, b.level)
-                assert same_bytes(a.ops, b.ops)
-            assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
-            assert same_bytes(ours.effective_weights(), reference_decode(ours))
-            assert same_bytes(ours.effective_weights(), ref.effective_weights())
+            for tile in (ours, sparse):
+                if read == "decode":    # a cached decode must be patched, not left stale
+                    tile.effective_weights()
+                elif read == "reload":  # a restored tile drops its cached decode
+                    tile.load_state_dict(tile.state_dict())
+            want = reference_write_levels(ref, k)
+            assert ours.write_levels(k) == want
+            if previous is None:  # pristine: every pair changes
+                assert sparse.write_levels(k) == want
+            else:
+                where = np.flatnonzero(k != previous)
+                assert sparse.write_levels(k.reshape(-1)[where], where=where) == want
+            previous = k
+            for tile in (ours, sparse):
+                for side in ("plus", "minus"):
+                    a, b = getattr(tile, side), getattr(ref, side)
+                    assert same_bytes(a.g, b.g) and same_bytes(a.level, b.level)
+                    assert same_bytes(a.ops, b.ops)
+                assert tile.rng.bit_generator.state == ref.rng.bit_generator.state
+                assert same_bytes(tile.effective_weights(), reference_decode(tile))
+                assert same_bytes(tile.effective_weights(), ref.effective_weights())
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
     def test_encode_levels_bit_equal(self, dtype):
@@ -275,6 +288,24 @@ class TestWriteOracle:
             cells.program(3, rng, where=where)
         assert (cells.level == -1).all() and not cells.ops.any()
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("where, error", [
+        (np.array([0, 4, 2]), ValueError),        # descending
+        (np.array([1, 1]), ValueError),           # repeated
+        (np.array([-1, 0]), ValueError),          # negative indices do not wrap
+        (np.array([8, 9]), ValueError),           # past the end
+        (np.eye(3, dtype=bool), TypeError),       # a boolean mask is not a selection mode
+    ])
+    def test_write_levels_rejects_bad_where(self, where, error):
+        tile = CrossbarTile(3, 3, derive_grid(default_levelspec()), np.random.default_rng(0))
+        tile.write_levels(np.zeros((3, 3), dtype=int))
+        before = {k: v.copy() for k, v in tile.state_dict().items()}, tile.rng.bit_generator.state
+        with pytest.raises(error):
+            tile.plus.program(3, np.random.default_rng(0), where=where)
+        with pytest.raises(error):
+            tile.write_levels(5, where=where)
+        assert all(same_bytes(v, before[0][k]) for k, v in tile.state_dict().items())
+        assert tile.rng.bit_generator.state == before[1]
 
     def test_program_rejects_non_integer_where(self):
         cells = CellArray((2, 2), default_levelspec())

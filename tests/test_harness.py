@@ -24,7 +24,7 @@ from memqnn.harness import (
     write_ops_histogram_csv,
 )
 
-from conftest import make_synth_task, uniform_mlp
+from conftest import make_synth_task, uniform_mlp, write_idx_images, write_idx_labels
 
 
 def synth_config(synth_data_dir, out_dir, **overrides):
@@ -258,6 +258,22 @@ class TestCheckpoint:
         acc = evaluate(mlp, split, 256, bn_state=snaps["synthB"])
         assert acc == pytest.approx(res.final_accuracy("synthB"), abs=1e-9)
 
+    def test_tile_must_encode_layer_levels(self, synth_data_dir, tmp_path, capsys):
+        cfg = synth_config(synth_data_dir, tmp_path / "alt", weight_source="crossbar",
+                           grid_source="device", tasks=[TaskSpec("synthA", 1)],
+                           pretrain_epochs=0)
+        res = run_sequential(cfg)
+        state = dict(np.load(res.out_dir / "checkpoint.npz"))
+        level = state["tile0.plus.level"].copy()
+        level.flat[7] = (level.flat[7] + 1) % 9
+        state["tile0.plus.level"] = level
+        np.savez(tmp_path / "altered.npz", **state)
+        with pytest.raises(ConfigError, match="tile0"):
+            restore_run(load_checkpoint(tmp_path / "altered.npz"))
+        assert cli_main(["eval", "--checkpoint", str(tmp_path / "altered.npz"),
+                         "--data-dir", str(synth_data_dir)]) == 2
+        assert "tile0" in capsys.readouterr().err
+
     def test_version_gate(self, synth_data_dir, tmp_path):
         cfg = synth_config(synth_data_dir, tmp_path / "cv",
                            tasks=[TaskSpec("synthA", 1)], pretrain_epochs=0)
@@ -396,6 +412,8 @@ class TestCli:
 
     def test_invalid_config_exit_code(self, synth_data_dir, tmp_path, capsys):
         cfg = synth_config(synth_data_dir, tmp_path / "bad")
+        texts = [("{not json", "not valid JSON"), ("", "not valid JSON"),
+                 ("[1, 2]", "JSON object")]
         for edit, named in ((lambda d: d.update(m_star=-3), "m_star"),
                             (lambda d: d.update(m_str=3), "m_str"),
                             (lambda d: d["tasks"][0].pop("epochs"), "epochs"),
@@ -403,14 +421,39 @@ class TestCli:
                             (lambda d: d.update(dims=784), "dims"),
                             (lambda d: d["tasks"][0].update(epochs="3"), "epochs"),
                             (lambda d: d.update(lr="fast"), "lr"),
-                            (lambda d: d.update(batch_size=True), "batch_size")):
+                            (lambda d: d.update(batch_size=True), "batch_size"),
+                            (lambda d: d.update(tasks=["mnist"]), "tasks[0]")):
             payload = json.loads(cfg.to_json())
             edit(payload)
-            cfg_path = tmp_path / "bad.json"
-            cfg_path.write_text(json.dumps(payload))
+            texts.append((json.dumps(payload), named))
+        cfg_path = tmp_path / "bad.json"
+        for text, named in texts:
+            cfg_path.write_text(text)
             assert cli_main(["train", "--config", str(cfg_path)]) == 2
             err = capsys.readouterr().err
-            assert "error" in err and named in err
+            assert err.startswith("error:") and named in err, text
+        cfg_path.write_text(cfg.to_json())
+        assert cli_main(["sweep", "--config", str(cfg_path), "--m-stars", "0,x"]) == 2
+        assert capsys.readouterr().err.startswith("error: --m-stars")
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("fault", ["bad magic", "no records"])
+    def test_bad_data_exit_code(self, tmp_path, capsys, fault):
+        task_dir = make_synth_task(tmp_path / "data" / "synthA", "forward", n_train=64, n_test=32)
+        images = task_dir / "train-images-idx3-ubyte"
+        if fault == "bad magic":
+            raw = bytearray(images.read_bytes())
+            raw[3] = 0x01
+            images.write_bytes(raw)
+        else:
+            write_idx_images(images, np.zeros((0, 8, 8)))
+            write_idx_labels(task_dir / "train-labels-idx1-ubyte", [])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(synth_config(tmp_path / "data", tmp_path / "run",
+                                         tasks=[TaskSpec("synthA", 1)]).to_json())
+        assert cli_main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fault in err and str(images) in err
 
     def test_fetch_verify_only(self, real_data_dir, capsys):
         rc = cli_main(["fetch-data", "--dataset", "mnist",
