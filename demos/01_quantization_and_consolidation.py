@@ -33,7 +33,7 @@ for x in xs:
 # Device-derived grids are unequally spaced; the factor adapts per interval,
 # so consolidation is equally sharp in narrow and wide intervals.
 uneven = QuantGrid([-1.0, -0.3, 0.0, 0.5, 1.5])
-print("\nunequal grid:", uneven.to_list())
+print("\nunequal grid:", uneven.levels.tolist())
 for w in (0.25, 0.1, -0.15):
     idx, ws = uneven.project(w)
     val = float(uneven.plasticity(w, 3.0))

@@ -13,12 +13,12 @@ Run:  python demos/03_device_model_and_grid.py
 
 import numpy as np
 
-from memqnn import CellArray, default_levelspec, derive_grid
+from memqnn import CellArray, LevelSpec, default_levelspec, derive_grid
 
 rng = np.random.default_rng(7)
 spec = default_levelspec()  # LCS 2 uS, HCS 20..90 uS, sigma 8 %
 print("level  mean(uS)  sigma(uS)")
-for k, m, s in spec.to_rows():
+for k, (m, s) in enumerate(zip(spec.means, spec.sigmas)):
     print(f"{k:>5}  {m:8.1f}  {s:9.2f}")
 
 # Program 16k cells per state and look at the empirical distributions.
@@ -44,6 +44,6 @@ print("interval widths:", np.array2string(dgrid.grid.widths, precision=3))
 # With sigma forced to zero the whole chain is deterministic and the decoded
 # weights are exactly the nominal grid values; that limit anchors the
 # equivalence tests between analog and exact matrix products.
-det = derive_grid(spec.with_sigma_scale(0.0))
+det = derive_grid(LevelSpec(spec.means, 0 * spec.sigmas))
 assert np.array_equal(det.grid.levels, lv)
 print("\nsigma=0 limit reproduces the same nominal grid exactly.")

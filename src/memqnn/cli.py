@@ -61,7 +61,7 @@ def cmd_fetch_data(args):
 
 def cmd_train(args):
     cfg = _load_config(args)
-    if args.repeats > 1:
+    if args.repeats != 1:
         results = run_repeated(cfg, args.repeats, log=print)
         print(f"wrote {len(results)} runs under {cfg.out_dir} (summary.csv has mean/std)")
         return 0

@@ -53,14 +53,6 @@ class LevelSpec:
         self.means.flags.writeable = False
         self.sigmas.flags.writeable = False
 
-    def with_sigma_scale(self, factor):
-        """Same means, sigmas scaled by ``factor`` (0 = deterministic)."""
-        return LevelSpec(self.means, self.sigmas * float(factor))
-
-    def to_rows(self):
-        """(level, mean_uS, sigma_uS) rows for config files."""
-        return [[k, float(m), float(s)] for k, (m, s) in enumerate(zip(self.means, self.sigmas))]
-
     @classmethod
     def from_rows(cls, rows):
         rows = sorted((int(k), float(m), float(s)) for k, m, s in rows)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .errors import ConfigError
 from .net import MLP, init_hidden_uniform
 from .optim import Adam, bn_update, metaplastic_update
 from .quantgrid import QuantGrid, uniform_grid
-from .xbar import derive_grid, dump_tiles_tsv, encode_levels, init_hardware_weights
+from .xbar import CrossbarTile, derive_grid, dump_tiles_tsv, encode_levels
 
 __all__ = [
     "ExperimentConfig",
@@ -264,28 +265,30 @@ def build_grid(config):
 def build_model(config, init_rng, device_rng):
     """MLP (plus programmed tiles in crossbar mode); returns (mlp, dgrid, init_ops).
 
-    Exact mode draws uniform hidden weights from ``init_rng``; crossbar mode
-    draws them and programs the tiles from ``device_rng`` and leaves
-    ``init_rng`` alone.
+    Both modes draw the hidden weights the same way, uniform over the central
+    ``2 * init_span`` intervals from ``init_rng``. Crossbar mode then programs
+    every pair of each layer's tile from the levels the layer projected, so
+    ``device_rng`` draws only conductances.
     """
     grid, dgrid = build_grid(config)
-    dtype = np.dtype(config.dtype)
-    shapes = list(zip(config.dims[:-1], config.dims[1:]))
-    if config.weight_source == "exact":
-        hidden = [init_hidden_uniform(s, grid, init_rng, span=config.init_span).astype(dtype)
-                  for s in shapes]
-        return MLP(hidden, grid), dgrid, 0
-    hidden, tiles, init_ops = init_hardware_weights(
-        shapes, dgrid, device_rng,
-        endurance=config.endurance,
-        read_noise_sigma=config.read_noise_sigma,
-        physical_tile=config.physical_tile,
-        dtype=dtype,
-    )
-    mlp = MLP(hidden, grid)
-    for layer, tile in zip(mlp.layers, tiles):
-        layer.bind_tile(tile)
+    hidden = [init_hidden_uniform(s, grid, init_rng, span=config.init_span).astype(config.dtype)
+              for s in zip(config.dims[:-1], config.dims[1:])]
+    mlp = _bind_tiles(config, MLP(hidden, grid), dgrid, device_rng)
+    init_ops = sum(layer.tile.write_levels(dgrid.signed_levels(layer.level_idx))
+                   for layer in mlp.layers if layer.tile is not None)
     return mlp, dgrid, init_ops
+
+
+def _bind_tiles(config, mlp, dgrid, device_rng):
+    """``mlp`` with one unprogrammed tile per layer bound in crossbar mode."""
+    if config.weight_source == "crossbar":
+        for layer in mlp.layers:
+            layer.bind_tile(CrossbarTile(*layer.shape, dgrid, device_rng,
+                                         endurance=config.endurance,
+                                         read_noise_sigma=config.read_noise_sigma,
+                                         physical_tile=config.physical_tile,
+                                         dtype=config.dtype))
+    return mlp
 
 
 def load_task_splits(config, parts=("train", "test")):
@@ -406,35 +409,48 @@ def checkpoint_bn_snapshots(state):
 
 
 def load_checkpoint(path):
-    with np.load(path) as z:
-        state = {k: z[k] for k in z.files}
-    version = int(state["format_version"])
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
+    """Checkpoint arrays by name; a file that is not a checkpoint raises ConfigError."""
+    try:
+        with np.load(path) as z:
+            state = {k: z[k] for k in z.files}
+    except (ValueError, TypeError, EOFError, zipfile.BadZipFile):  # TypeError: a .npy file
+        raise ConfigError(f"{path} is not a checkpoint (.npz) file") from None
+    version = state.get("format_version")
+    if version is None or int(version) != CHECKPOINT_VERSION:
+        raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     return state
 
 
 def restore_run(state):
     """Rebuild (config, mlp, adam, data_rng, device_rng) from checkpoint state.
 
-    A tile whose cells do not encode its layer's levels raises ConfigError:
-    training rewrites only pairs whose level changes, so it would never mend it.
+    The MLP is built from the stored hidden weights and, in crossbar mode,
+    its tiles take their cells from the checkpoint; nothing is drawn or
+    programmed. A missing array, or a tile whose cells do not encode its
+    layer's levels, raises ConfigError: training rewrites only pairs whose
+    level changes, so it would never mend such a tile.
     """
-    config = ExperimentConfig.from_dict(_unpack_json(state["config_json"]))
-    data_rng, device_rng = np.random.default_rng(0), np.random.default_rng(0)
-    # the tiles keep drawing from device_rng, whose state is restored below
-    mlp, dgrid, _ = build_model(config, np.random.default_rng(0), device_rng)
-    mlp.load_state_dict(state)
+    try:
+        config = ExperimentConfig.from_dict(_unpack_json(state["config_json"]))
+        data_rng, device_rng = np.random.default_rng(0), np.random.default_rng(0)
+        data_rng.bit_generator.state = _unpack_json(state["data_rng"])
+        device_rng.bit_generator.state = _unpack_json(state["device_rng"])
+        grid, dgrid = build_grid(config)
+        hidden = [np.asarray(state[f"layer{i}.w_hidden"], dtype=config.dtype)
+                  for i in range(len(config.dims) - 1)]
+        # the tiles keep drawing from device_rng
+        mlp = _bind_tiles(config, MLP(hidden, grid), dgrid, device_rng)
+        mlp.load_state_dict(state)
+        adam = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
+        adam.load_state_dict({k[len("adam."):]: v for k, v in state.items()
+                              if k.startswith("adam.")})
+    except KeyError as e:
+        raise ConfigError(f"checkpoint lacks array {e}") from None
     for i, layer in enumerate(mlp.layers):
         tile = layer.tile
         if tile is not None and not all(map(np.array_equal, (tile.plus.level, tile.minus.level),
                                             encode_levels(dgrid.signed_levels(layer.level_idx)))):
             raise ConfigError(f"checkpoint tile{i} cells do not encode layer {i}'s levels")
-    adam = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
-    adam.load_state_dict({k[len("adam."):]: v for k, v in state.items()
-                          if k.startswith("adam.")})
-    data_rng.bit_generator.state = _unpack_json(state["data_rng"])
-    device_rng.bit_generator.state = _unpack_json(state["device_rng"])
     return config, mlp, adam, data_rng, device_rng
 
 

@@ -142,14 +142,6 @@ class QuantGrid:
         """Clip hidden weights to half an outer interval beyond the end levels."""
         return np.clip(w_hidden, self.hidden_lo, self.hidden_hi)
 
-    # -- introspection / serialization ---------------------------------------
-
-    def is_symmetric(self, tol=1e-12):
-        return bool(np.all(np.abs(self.levels + self.levels[::-1]) <= tol))
-
-    def to_list(self):
-        return [float(v) for v in self.levels]
-
     def __repr__(self):
         return f"QuantGrid(n={self.n}, range=[{self.levels[0]:g}, {self.levels[-1]:g}])"
 

@@ -31,11 +31,9 @@ from .quantgrid import QuantGrid
 __all__ = [
     "HALF_SPAN",
     "encode_levels",
-    "decode_levels",
     "DeviceGrid",
     "derive_grid",
     "CrossbarTile",
-    "init_hardware_weights",
     "dump_tiles_tsv",
 ]
 
@@ -48,11 +46,6 @@ def encode_levels(k):
     if k.size and (k.min() < -HALF_SPAN or k.max() > HALF_SPAN):
         raise ValueError(f"signed levels must lie in -{HALF_SPAN}..+{HALF_SPAN}")
     return np.maximum(k, 0), -np.minimum(k, 0)
-
-
-def decode_levels(plus, minus):
-    """Inverse of encode_levels for valid pair encodings."""
-    return np.asarray(plus) - np.asarray(minus)
 
 
 @dataclass(frozen=True)
@@ -216,40 +209,6 @@ class CrossbarTile:
         self.plus.load_state_dict(state, prefix + "plus.")
         self.minus.load_state_dict(state, prefix + "minus.")
         self._w_eff = None
-
-
-def init_hardware_weights(shapes, dgrid: DeviceGrid, rng,
-                          endurance=DEFAULT_ENDURANCE, read_noise_sigma=0.0,
-                          n_central_intervals=4, sigma_frac=0.25,
-                          physical_tile=None, dtype=np.float64):
-    """Gaussian hidden-weight init around central interval midpoints, tiles programmed.
-
-    Per synapse a uniformly chosen central interval provides the mean
-    (its midpoint) and the scale (sigma_frac times its width) of the draw.
-    Each draw is cast to ``dtype`` before it is projected, so a tile holds
-    the level its layer projects the same weights onto. Quantized
-    projections are written to fresh tiles, so every cell is programmed
-    exactly once. Returns (hidden weight arrays, tiles, ops).
-    """
-    grid = dgrid.grid
-    n_int = grid.n - 1
-    k = min(int(n_central_intervals), n_int)
-    start = (n_int - k) // 2
-    choices = np.arange(start, start + k)
-    hidden, tiles, ops = [], [], 0
-    for shape in shapes:
-        pick = rng.choice(choices, size=shape)
-        mids = grid.midpoints[pick]
-        sds = sigma_frac * grid.widths[pick]
-        w = grid.clip_hidden(rng.normal(mids, sds)).astype(dtype)
-        idx, _ = grid.project(w)
-        tile = CrossbarTile(shape[0], shape[1], dgrid, rng,
-                            endurance=endurance, read_noise_sigma=read_noise_sigma,
-                            physical_tile=physical_tile, dtype=dtype)
-        ops += tile.write_levels(dgrid.signed_levels(idx))
-        hidden.append(w)
-        tiles.append(tile)
-    return hidden, tiles, ops
 
 
 def dump_tiles_tsv(path, tiles, layer_names=None):

@@ -1,9 +1,11 @@
 """The model builder: pinned initial state, tile/layer agreement, public names.
 
-``harness.build_model`` is the only code that makes an MLP or a tile, for
-fresh runs and (on throwaway generators) for restored ones. Its initial state
-is pinned by sha256 digests, so a refactor of the builder that moves a single
-draw fails here before it shows up in a run's outputs.
+``harness.build_model`` is the only code that draws initial weights, the same
+way in both modes; crossbar mode then programs each tile from its layer's
+levels. ``harness.restore_run`` builds from a checkpoint's arrays instead and
+programs no cell. The initial state is pinned by sha256 digests, so a
+refactor of the builder that moves a single draw fails here before it shows
+up in a run's outputs.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import pytest
 
 import memqnn
 from memqnn import harness
+from memqnn.device import CellArray
+from memqnn.optim import Adam
 from memqnn.xbar import encode_levels
 
 # sha256 over every layer's hidden weights and level indices, every tile's
@@ -23,18 +27,22 @@ from memqnn.xbar import encode_levels
 BUILD_DIGESTS = {
     ("exact", "float32"): "7033ad38e9850ec43bce13fd3afd79c50218a282488922607411e4f8b00b6aca",
     ("exact", "float64"): "79b0a1b17f024ffac5e7c5403724245039717687fb2707496ce1f30f49e7eb23",
-    ("crossbar", "float32"): "ac115bf39bdcd5e89d6d59716f4b38945f369f5baf2f896784a114f7e2ac39d2",
-    ("crossbar", "float64"): "ae49bcb781e665b0338f11a0571e4c1199637c129617296f0b03afb51d734e8f",
+    ("crossbar", "float32"): "521ad8370b047e7b57aae8068b80ce41ad17f8523b692a8f7d6ebefa2bf6034f",
+    ("crossbar", "float64"): "e5280eeb256d79b5428ba8ad71f0443d96ece8d7a0e8d2743197121d60f8ee7f",
 }
 
 
-def build(mode, dtype, dims, seed):
-    cfg = harness.ExperimentConfig(
+def config(mode, dtype, dims, seed, grid_source=None):
+    return harness.ExperimentConfig(
         dims=dims, seed=seed, dtype=dtype, weight_source=mode,
-        grid_source="device" if mode == "crossbar" else "uniform").validate()
+        grid_source=grid_source or ("device" if mode == "crossbar" else "uniform")).validate()
+
+
+def build(mode, dtype, dims, seed, grid_source=None):
     init_rng, _, device_rng = (np.random.default_rng(s)
                                for s in np.random.SeedSequence(seed).spawn(3))
-    mlp, dgrid, ops = harness.build_model(cfg, init_rng, device_rng)
+    mlp, dgrid, ops = harness.build_model(config(mode, dtype, dims, seed, grid_source),
+                                          init_rng, device_rng)
     return mlp, dgrid, ops, device_rng
 
 
@@ -54,15 +62,46 @@ def test_build_state_pinned(mode, dtype):
     assert ops == (2 * (64 * 24 + 24 * 24 + 24 * 10) if mode == "crossbar" else 0)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_crossbar_and_exact_builds_share_weights(dtype):
+    exact, _, _, _ = build("exact", dtype, (64, 24, 24, 10), 11, grid_source="device")
+    crossbar, _, _, _ = build("crossbar", dtype, (64, 24, 24, 10), 11)
+    for a, b in zip(exact.layers, crossbar.layers):
+        for attr in ("w_hidden", "level_idx"):
+            x, y = getattr(a, attr), getattr(b, attr)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def test_float32_tiles_hold_their_layers_levels():
-    # seed 8 at desk dims draws w = 0.39204547 (layer 0, flat index 92871),
+    # seed 66 at desk dims draws w = 0.39204547 (layer 0, flat index 131515),
     # which rounds onto a float32 midpoint: projected in float64 it takes the
     # upper level, in float32 the lower one
-    mlp, dgrid, _, _ = build("crossbar", "float32", (784, 256, 256, 10), 8)
+    mlp, dgrid, _, _ = build("crossbar", "float32", (784, 256, 256, 10), 66)
     for layer in mlp.layers:
         plus, minus = encode_levels(dgrid.signed_levels(layer.level_idx))
         assert np.array_equal(layer.tile.plus.level, plus)
         assert np.array_equal(layer.tile.minus.level, minus)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_restore_programs_no_cell(tmp_path, monkeypatch, dtype):
+    mlp, _, _, device_rng = build("crossbar", dtype, (64, 24, 24, 10), 11)
+    cfg = config("crossbar", dtype, (64, 24, 24, 10), 11)
+    harness.save_checkpoint(tmp_path / "ck.npz", cfg, mlp, Adam(),
+                            np.random.default_rng(1), device_rng, 0, 0)
+    state = harness.load_checkpoint(tmp_path / "ck.npz")
+
+    def program(*args, **kwargs):
+        raise AssertionError("restore_run programmed a cell")
+
+    monkeypatch.setattr(CellArray, "program", program)
+    _, clone, _, _, clone_device_rng = harness.restore_run(state)
+    assert clone_device_rng.bit_generator.state == device_rng.bit_generator.state
+    for a, b in zip(mlp.layers, clone.layers):
+        assert b.tile.rng is clone_device_rng
+        sa, sb = a.tile.state_dict(), b.tile.state_dict()
+        assert all(np.array_equal(sa[k], sb[k]) for k in sa)
+        assert a.w_hidden.tobytes() == b.w_hidden.tobytes()
 
 
 def test_public_names_resolve():

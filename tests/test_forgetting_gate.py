@@ -11,21 +11,26 @@ Setup: dims 64-128-128-10, 6 + 6 epochs, batch 32, 2 pretrain epochs of
 task A at m*=0, lr 5e-3, default device model, config seed 0.
 
 CALIBRATED bands, from config seeds 0-9 on the same data (final accuracy in
-percent; max cell ops is the highest program count of any cell after the
-run, endurance 100000):
+percent, sd the population sd over the seeds; max cell ops is the highest
+program count of any cell after the run, endurance 100000):
 
     mode      m*  task A final                   task B final  max cell ops
     exact     0   10.7-21.5 (mean 15.7, sd 3.6)  100.0         -
     exact     5   93.8-98.2 (mean 96.0, sd 1.5)  99.4-100.0    -
-    crossbar  0   11.5-24.0 (mean 16.8, sd 3.4)  100.0         12-17
-    crossbar  5   71.5-86.1 (mean 77.3, sd 4.2)  99.6-100.0    12-17
+    crossbar  0   17.4-23.4 (mean 19.4, sd 1.7)  100.0         12-16
+    crossbar  5   85.0-95.1 (mean 92.0, sd 3.4)  99.4-100.0    12-18
+
+At m*=5 the seed-by-seed gap between exact and crossbar task A is -0.8 to
+13.3 points (mean 4.0, sd 4.4).
 
 Forgetting: task A at m*=0 below 35% (every seed under 25%; chance is
 10%). Retention: task A at m*=5 at least mean - 3 sd, rounded down: 90% in
-exact mode, 60% in crossbar mode. Task B at least 95%. Endurance: max cell
-ops below 0.1% of the budget. Task A peaked at 100% in every run, so a
-collapse is forgetting, not a failure to learn. The crossbar keeps less of
-task A than exact mode does; that gap is reported, not gated.
+exact mode, 81% in crossbar mode. Crossbar against exact: at m*=5 the
+crossbar keeps task A within mean + 3 sd of the gap, rounded up: 18 points,
+the synthetic counterpart of the MNIST suite's XBAR_MAX_DEGRADATION. Task B
+at least 95%. Endurance: max cell ops below 0.1% of the budget. Task A
+peaked at 100% in every run, so a collapse is forgetting, not a failure to
+learn.
 """
 
 import pytest
@@ -35,7 +40,8 @@ from memqnn.harness import ExperimentConfig, read_ops_counts, run_sequential
 
 MODES = ("exact", "crossbar")
 FORGOTTEN_BELOW = 35.0
-RETAINED_AT_LEAST = {"exact": 90.0, "crossbar": 60.0}
+RETAINED_AT_LEAST = {"exact": 90.0, "crossbar": 81.0}
+XBAR_MAX_GAP = 18.0  # exact minus crossbar task A at m*=5, points
 LEARNED_AT_LEAST = 95.0
 ENDURANCE_FRACTION = 1e-3
 
@@ -65,6 +71,11 @@ def test_no_consolidation_forgets_task_a(runs, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_consolidation_retains_task_a(runs, mode):
     assert runs[mode, 5.0].final_accuracy("synthA") >= RETAINED_AT_LEAST[mode]
+
+
+def test_crossbar_retains_like_exact(runs):
+    gap = runs["exact", 5.0].final_accuracy("synthA") - runs["crossbar", 5.0].final_accuracy("synthA")
+    assert gap <= XBAR_MAX_GAP
 
 
 @pytest.mark.parametrize("m_star", [0.0, 5.0])

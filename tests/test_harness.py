@@ -99,7 +99,7 @@ class TestConfig:
         cfg = synth_config(synth_data_dir, tmp_path / "e",
                            grid_source="explicit", grid_level_values=levels)
         grid, dgrid = build_grid(cfg.validate())
-        assert grid.to_list() == levels and dgrid is None
+        assert grid.levels.tolist() == levels and dgrid is None
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again.grid_level_values == levels
         with pytest.raises(ConfigError):
@@ -274,6 +274,25 @@ class TestCheckpoint:
                          "--data-dir", str(synth_data_dir)]) == 2
         assert "tile0" in capsys.readouterr().err
 
+    def test_damaged_checkpoint(self, synth_data_dir, tmp_path, capsys):
+        cfg = synth_config(synth_data_dir, tmp_path / "dm", weight_source="crossbar",
+                           grid_source="device", tasks=[TaskSpec("synthA", 1)],
+                           pretrain_epochs=0)
+        res = run_sequential(cfg)
+        state = dict(np.load(res.out_dir / "checkpoint.npz"))
+        del state["tile0.minus.g"]
+        np.savez(tmp_path / "lacking.npz", **state)
+        with pytest.raises(ConfigError, match="tile0.minus.g"):
+            restore_run(load_checkpoint(tmp_path / "lacking.npz"))
+        (tmp_path / "text.npz").write_text("not a checkpoint file\n")
+        with pytest.raises(ConfigError, match="text.npz"):
+            load_checkpoint(tmp_path / "text.npz")
+        for name, named in (("lacking.npz", "tile0.minus.g"), ("text.npz", "text.npz")):
+            assert cli_main(["eval", "--checkpoint", str(tmp_path / name),
+                             "--data-dir", str(synth_data_dir)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and named in err
+
     def test_version_gate(self, synth_data_dir, tmp_path):
         cfg = synth_config(synth_data_dir, tmp_path / "cv",
                            tasks=[TaskSpec("synthA", 1)], pretrain_epochs=0)
@@ -435,6 +454,9 @@ class TestCli:
         cfg_path.write_text(cfg.to_json())
         assert cli_main(["sweep", "--config", str(cfg_path), "--m-stars", "0,x"]) == 2
         assert capsys.readouterr().err.startswith("error: --m-stars")
+        for repeats in ("0", "-1"):
+            assert cli_main(["train", "--config", str(cfg_path), "--repeats", repeats]) == 2
+            assert capsys.readouterr().err.startswith("error: repeats")
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("fault", ["bad magic", "no records"])

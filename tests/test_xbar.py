@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memqnn.device import LevelSpec, N_LEVELS, default_levelspec
+from memqnn.harness import ExperimentConfig, build_model
 from memqnn.xbar import (
     HALF_SPAN,
     CrossbarTile,
-    decode_levels,
     derive_grid,
     dump_tiles_tsv,
     encode_levels,
-    init_hardware_weights,
 )
 
 
@@ -33,7 +32,7 @@ class TestEncoding:
     def test_roundtrip_exact(self):
         k = np.arange(-HALF_SPAN, HALF_SPAN + 1)
         plus, minus = encode_levels(k)
-        assert np.array_equal(decode_levels(plus, minus), k)
+        assert np.array_equal(plus - minus, k)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -50,7 +49,7 @@ class TestDeriveGrid:
         assert dgrid.grid.n == 2 * HALF_SPAN + 1
 
     def test_symmetric_by_construction(self, dgrid):
-        assert dgrid.grid.is_symmetric(tol=0)
+        assert np.array_equal(dgrid.grid.levels, -dgrid.grid.levels[::-1])
 
     def test_unequal_spacing_near_zero(self, dgrid):
         # default ladder: LCS->HCS1 gap (18 uS) vs HCS steps (10 uS)
@@ -189,38 +188,30 @@ class TestMvm:
 
 
 class TestHardwareInit:
-    def test_everything_in_range_and_projected(self, dgrid):
-        shapes = [(20, 10), (10, 4)]
-        hidden, tiles, ops = init_hardware_weights(shapes, dgrid,
-                                                   np.random.default_rng(0))
+    """The tiles harness.build_model programs for a fresh crossbar run."""
+
+    @staticmethod
+    def build(dtype):
+        cfg = ExperimentConfig(dims=(20, 10, 4), dtype=dtype, weight_source="crossbar",
+                               grid_source="device").validate()
+        return build_model(cfg, np.random.default_rng(0), np.random.default_rng(1))
+
+    def test_everything_in_range_and_projected(self):
+        mlp, dgrid, _ = self.build("float64")
         grid = dgrid.grid
-        for w, tile, shape in zip(hidden, tiles, shapes):
-            assert w.shape == shape
+        for layer in mlp.layers:
+            w = layer.w_hidden
             assert np.all(w >= grid.hidden_lo) and np.all(w <= grid.hidden_hi)
             idx, _ = grid.project(w)
-            assert np.array_equal(np.asarray(tile.plus.level, np.int64)
-                                  - np.asarray(tile.minus.level, np.int64),
+            assert np.array_equal(np.asarray(layer.tile.plus.level, np.int64)
+                                  - np.asarray(layer.tile.minus.level, np.int64),
                                   np.asarray(idx, np.int64) - HALF_SPAN)
 
-    def test_ops_equals_two_per_synapse(self, dgrid):
-        shapes = [(20, 10), (10, 4)]
-        _, tiles, ops = init_hardware_weights(shapes, dgrid, np.random.default_rng(0))
+    def test_ops_equals_two_per_synapse(self):
+        mlp, _, ops = self.build("float32")
         assert ops == 2 * (200 + 40)
-        for tile in tiles:
-            assert np.all(tile.plus.ops == 1) and np.all(tile.minus.ops == 1)
-
-    def test_means_sit_on_interval_midpoints(self, dgrid):
-        # bucket draws by chosen interval; empirical mean ~ midpoint
-        hidden, _, _ = init_hardware_weights([(300, 300)], dgrid,
-                                             np.random.default_rng(1))
-        w = hidden[0].ravel()
-        grid = dgrid.grid
-        n_int = grid.n - 1
-        start = (n_int - 4) // 2
-        for j in range(start, start + 4):
-            sel = w[(w > grid.levels[j]) & (w < grid.levels[j + 1])]
-            se = grid.widths[j] * 0.25 / np.sqrt(sel.size)
-            assert abs(sel.mean() - grid.midpoints[j]) < 6 * se
+        for layer in mlp.layers:
+            assert np.all(layer.tile.plus.ops == 1) and np.all(layer.tile.minus.ops == 1)
 
 
 class TestAccounting:
