@@ -49,11 +49,3 @@ print(f"\nsigma=8%: relative MVM deviation {rel:.3f} "
 delta = rng.normal(size=(16, 32))
 back = tile_n.mvm_backward(delta)
 print("backward product shape:", back.shape)
-
-# Physical tiling view for op accounting on 128x128 arrays.
-big = CrossbarTile(300, 200, noisy, np.random.default_rng(2),
-                   physical_tile=(128, 128))
-big.write_levels(np.zeros((300, 200), dtype=int))
-print("\n300x200 layer on 128x128 arrays ->", big.physical_tile_count(),
-      "arrays; ops per array:")
-print(big.ops_by_physical_tile())

@@ -94,7 +94,6 @@ class ExperimentConfig:
     target_max: float = 1.5
     read_noise_sigma: float = 0.0
     endurance: int = 100_000
-    physical_tile: tuple | None = None
     seed: int = 0
     dtype: str = "float32"
     init_span: float = 2.0
@@ -140,10 +139,8 @@ class ExperimentConfig:
             problems.append("noise magnitudes must be >= 0")
         if self.endurance < 1:
             problems.append("endurance must be >= 1")
-        pt = self.physical_tile
-        if pt is not None and not (isinstance(pt, (tuple, list)) and len(pt) == 2
-                                   and all(isinstance(v, int) and v > 0 for v in pt)):
-            problems.append(f"physical_tile must be two positive ints, got {pt}")
+        if not (np.isfinite(self.init_span) and self.init_span > 0):
+            problems.append(f"init_span must be finite and > 0, got {self.init_span}")
         names = [t.name for t in self.tasks]
         if len(set(names)) != len(names):
             problems.append(f"task names must be unique, got {names}")
@@ -168,8 +165,6 @@ class ExperimentConfig:
         for i, t in enumerate(d.get("tasks", [])):
             _check_keys(f"tasks[{i}]", TaskSpec, t)
         d["tasks"] = [TaskSpec(**t) for t in d.get("tasks", [])]
-        if isinstance(d.get("physical_tile"), list):
-            d["physical_tile"] = tuple(d["physical_tile"])
         return cls(**d)
 
     @classmethod
@@ -271,8 +266,12 @@ def build_model(config, init_rng, device_rng):
     ``device_rng`` draws only conductances.
     """
     grid, dgrid = build_grid(config)
-    hidden = [init_hidden_uniform(s, grid, init_rng, span=config.init_span).astype(config.dtype)
-              for s in zip(config.dims[:-1], config.dims[1:])]
+    try:
+        with np.errstate(over="raise"):
+            hidden = [init_hidden_uniform(s, grid, init_rng, span=config.init_span)
+                      .astype(config.dtype) for s in zip(config.dims[:-1], config.dims[1:])]
+    except (OverflowError, FloatingPointError):
+        raise ConfigError(f"init_span {config.init_span} overflows {config.dtype}") from None
     mlp = _bind_tiles(config, MLP(hidden, grid), dgrid, device_rng)
     init_ops = sum(layer.tile.write_levels(dgrid.signed_levels(layer.level_idx))
                    for layer in mlp.layers if layer.tile is not None)
@@ -286,7 +285,6 @@ def _bind_tiles(config, mlp, dgrid, device_rng):
             layer.bind_tile(CrossbarTile(*layer.shape, dgrid, device_rng,
                                          endurance=config.endurance,
                                          read_noise_sigma=config.read_noise_sigma,
-                                         physical_tile=config.physical_tile,
                                          dtype=config.dtype))
     return mlp
 
@@ -339,7 +337,7 @@ def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     for i, layer in enumerate(mlp.layers):
         w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"],
                                    mlp.grid, m_star, lr, layer.level_idx)
-        moved = layer.update_hidden(w_new)
+        moved = layer.set_hidden(w_new)
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)
         if layer.tile is not None:
@@ -460,16 +458,15 @@ def restore_run(state):
 def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
     """Train through the task schedule, evaluating every task after every epoch."""
     config.validate()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(config.to_json())
-
     init_ss, data_ss, device_ss = np.random.SeedSequence(config.seed).spawn(3)
     init_rng = np.random.default_rng(init_ss)
     data_rng = np.random.default_rng(data_ss)
     device_rng = np.random.default_rng(device_ss)
-
     mlp, dgrid, cum_ops = build_model(config, init_rng, device_rng)
+
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(config.to_json())
     splits = load_task_splits(config)
 
     adam = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)

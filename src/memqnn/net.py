@@ -45,6 +45,9 @@ def softmax_cross_entropy(logits, labels):
     return loss, dlogits
 
 
+_BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")  # a bn_state() tuple
+
+
 class BatchNorm:
     """Per-feature batch normalization with learnable gain and shift."""
 
@@ -85,54 +88,41 @@ class DenseLayer:
     """One affine stage: hidden weights, their quantized image, optional BN.
 
     ``w_quant`` and ``level_idx`` are kept equal to the elementwise
-    projection of ``w_hidden`` at all times outside the optimizer step.
-    ``set_hidden`` establishes the invariant by projecting every weight;
-    ``update_hidden`` re-establishes it after an optimizer step by projecting
-    only the weights that left their level's interval, and patches
-    ``w_quant`` and ``level_idx`` in place. When a crossbar tile is bound,
-    the matrix products route through it instead of ``w_quant``.
+    projection of ``w_hidden`` at all times outside the optimizer step. The
+    constructor projects every weight once; ``set_hidden`` keeps the
+    invariant by re-projecting only the weights that left their level's
+    interval and patching ``w_quant``, ``level_idx`` and the intervals in
+    place. When a crossbar tile is bound, the matrix products route through
+    it instead of ``w_quant``.
     """
 
     def __init__(self, w_hidden, grid: QuantGrid, bn: BatchNorm | None = None):
         self.grid = grid
         self.bn = bn
         self.tile = None
-        self.w_hidden = None
-        self.w_quant = None
-        self.level_idx = None
-        self._bounds = None  # (lo, hi] of each weight's level, built on first update
-        self.set_hidden(w_hidden)
+        self.w_hidden = w = np.asarray(w_hidden)
+        self.level_idx, w_quant = grid.project(w)
+        self.w_quant = w_quant.astype(w.dtype, copy=False)
+        self._bounds = grid.level_bounds(self.level_idx, w.dtype)  # (lo, hi] of each level
 
     @property
     def shape(self):
         return self.w_hidden.shape
 
     def set_hidden(self, w_hidden):
-        """Replace the hidden weights and project all of them."""
-        w = np.asarray(w_hidden)
-        level_idx, w_quant = self.grid.project(w)
-        self.w_hidden = w
-        self.level_idx = level_idx
-        self.w_quant = w_quant.astype(w.dtype, copy=False)
-        self._bounds = None
+        """Replace the hidden weights; returns the flat indices whose level changed.
 
-    def update_hidden(self, w_hidden):
-        """Replace the hidden weights after an optimizer update.
-
-        Same result as ``set_hidden``, at the cost of one comparison pass plus
-        work on the weights whose level changed: a weight outside the
-        interval (lo, hi] of its current level is re-projected, which may jump
-        several levels, and its flat index is returned (ascending); every
-        other weight keeps its level. The shape and dtype must match the
-        current hidden weights. Non-finite weights raise
-        ``FloatingPointError`` and leave the layer unchanged.
+        Costs one comparison pass plus work on the weights whose level
+        changed: a weight outside the interval (lo, hi] of its current level
+        is re-projected, which may jump several levels, and its flat index is
+        returned (ascending); every other weight keeps its level. The shape
+        and dtype must match the current hidden weights. Non-finite weights
+        raise ``FloatingPointError`` and leave the layer unchanged.
         """
         w = np.asarray(w_hidden)
         if w.shape != self.w_hidden.shape or w.dtype != self.w_hidden.dtype:
-            raise ValueError(f"update of {w.dtype}{w.shape} != hidden weights "
+            raise ValueError(f"hidden weights {w.dtype}{w.shape} != layer's "
                              f"{self.w_hidden.dtype}{self.w_hidden.shape}")
-        if self._bounds is None:
-            self._bounds = self.grid.level_bounds(self.level_idx, w.dtype)
         lo, hi = self._bounds
         inside = w > lo
         inside &= w <= hi
@@ -262,36 +252,30 @@ class MLP:
         task is always measured under the normalization it was trained with;
         the synaptic weights themselves are shared across tasks.
         """
-        out = []
-        for layer in self.layers:
-            if layer.bn is not None:
-                bn = layer.bn
-                out.append((bn.gamma.copy(), bn.beta.copy(),
-                            bn.running_mean.copy(), bn.running_var.copy()))
-        return out
+        return [tuple(getattr(bn, name).copy() for name in _BN_FIELDS) for bn in self._bns()]
 
     def set_bn_state(self, state):
-        bns = [layer.bn for layer in self.layers if layer.bn is not None]
+        """Install copies of a ``bn_state`` result, cast to the net dtype."""
+        bns = self._bns()
         if len(state) != len(bns):
             raise ValueError(f"bn state holds {len(state)} layers, net has {len(bns)}")
-        for bn, (gamma, beta, mean, var) in zip(bns, state):
-            bn.gamma = gamma.copy()
-            bn.beta = beta.copy()
-            bn.running_mean = mean.copy()
-            bn.running_var = var.copy()
+        for bn, arrays in zip(bns, state):
+            for name, a in zip(_BN_FIELDS, arrays, strict=True):
+                setattr(bn, name, np.array(a, dtype=self.dtype))
+
+    def _bns(self):
+        return [layer.bn for layer in self.layers if layer.bn is not None]
 
     def state_dict(self):
         """Weights, BN and, for bound tiles, their cell state (``tile<i>.*``)."""
         state = {"dims": np.asarray(self.dims), "grid_levels": self.grid.levels}
+        bn_states = iter(self.bn_state())
         for i, layer in enumerate(self.layers):
             state[f"layer{i}.w_hidden"] = layer.w_hidden
             state[f"layer{i}.level_idx"] = layer.level_idx.astype(np.int16)
             if layer.bn is not None:
-                bn = layer.bn
-                state[f"layer{i}.bn.gamma"] = bn.gamma
-                state[f"layer{i}.bn.beta"] = bn.beta
-                state[f"layer{i}.bn.running_mean"] = bn.running_mean
-                state[f"layer{i}.bn.running_var"] = bn.running_var
+                state.update(zip((f"layer{i}.bn.{name}" for name in _BN_FIELDS),
+                                 next(bn_states)))
             if layer.tile is not None:
                 state.update(layer.tile.state_dict(prefix=f"tile{i}."))
         return state
@@ -301,14 +285,10 @@ class MLP:
             raise ValueError(f"checkpoint dims {tuple(state['dims'])} != net dims {self.dims}")
         for i, layer in enumerate(self.layers):
             layer.set_hidden(np.asarray(state[f"layer{i}.w_hidden"], dtype=self.dtype))
-            if layer.bn is not None:
-                bn = layer.bn
-                bn.gamma = np.asarray(state[f"layer{i}.bn.gamma"], dtype=self.dtype)
-                bn.beta = np.asarray(state[f"layer{i}.bn.beta"], dtype=self.dtype)
-                bn.running_mean = np.asarray(state[f"layer{i}.bn.running_mean"], dtype=self.dtype)
-                bn.running_var = np.asarray(state[f"layer{i}.bn.running_var"], dtype=self.dtype)
             if layer.tile is not None:
                 layer.tile.load_state_dict(state, prefix=f"tile{i}.")
+        self.set_bn_state([tuple(state[f"layer{i}.bn.{name}"] for name in _BN_FIELDS)
+                           for i, layer in enumerate(self.layers) if layer.bn is not None])
 
 
 def init_hidden_uniform(shape, grid: QuantGrid, rng, span=2.0):

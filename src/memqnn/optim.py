@@ -10,7 +10,7 @@ level, and all batch-norm updates, are applied at full strength.
 Only the away-branch weights pay for the plasticity factor: the update finds
 them in one pass over ``u * (w_hidden - w_quant)`` and evaluates the factor on
 that subset alone. The layer then re-projects only the weights that left
-their level (``DenseLayer.update_hidden``), so a step costs a few passes over
+their level (``DenseLayer.set_hidden``), so a step costs a few passes over
 the weights plus work proportional to the damped updates and level flips.
 """
 

@@ -80,15 +80,14 @@ class CrossbarTile:
 
     The tile owns its RNG stream so programming draws are reproducible
     regardless of what the surrounding training loop does. Its only state is
-    its cells: which pairs to write is the caller's to say. Decoded effective
-    weights are cached and patched in place when pairs are reprogrammed
-    through ``write_levels``, because conductances only change when a cell is
-    pulsed.
+    its cells: which pairs to write is the caller's to say. The decoded
+    weights are built with the tile (pristine cells decode to 0), decoded
+    afresh on ``load_state_dict`` and patched in place for the pairs
+    ``write_levels`` visits: conductances only change when a cell is pulsed.
     """
 
     def __init__(self, rows, cols, dgrid: DeviceGrid, rng,
-                 endurance=DEFAULT_ENDURANCE, read_noise_sigma=0.0,
-                 physical_tile=None, dtype=np.float64):
+                 endurance=DEFAULT_ENDURANCE, read_noise_sigma=0.0, dtype=np.float64):
         self.rows = int(rows)
         self.cols = int(cols)
         self.dgrid = dgrid
@@ -97,8 +96,7 @@ class CrossbarTile:
         self.dtype = np.dtype(dtype)  # dtype handed to the MVM consumers
         self.plus = CellArray((rows, cols), dgrid.spec, endurance)
         self.minus = CellArray((rows, cols), dgrid.spec, endurance)
-        self.physical_tile = physical_tile  # (rows, cols) of one physical array, or None
-        self._w_eff = None
+        self._w_eff = self._decode(self.plus.g, self.minus.g)
 
     @property
     def shape(self):
@@ -130,9 +128,8 @@ class CrossbarTile:
         for cells, targets in zip((self.plus, self.minus), encode_levels(k)):
             changed = np.take(cells.level, pairs) != targets
             ops += cells.program(targets[changed], self.rng, where=pairs[changed])
-        if self._w_eff is not None:
-            np.put(self._w_eff, pairs,
-                   self._decode(np.take(self.plus.g, pairs), np.take(self.minus.g, pairs)))
+        np.put(self._w_eff, pairs,
+               self._decode(np.take(self.plus.g, pairs), np.take(self.minus.g, pairs)))
         return ops
 
     # -- analog compute --------------------------------------------------------
@@ -150,8 +147,6 @@ class CrossbarTile:
         if self.read_noise_sigma and fresh_noise:
             return self._decode(self.plus.read(self.rng, self.read_noise_sigma),
                                 self.minus.read(self.rng, self.read_noise_sigma))
-        if self._w_eff is None:
-            self._w_eff = self._decode(self.plus.g, self.minus.g)
         view = self._w_eff.view()
         view.flags.writeable = False
         return view
@@ -179,25 +174,6 @@ class CrossbarTile:
         """Flat vector of program counts over both cells of every pair."""
         return np.concatenate((self.plus.ops.ravel(), self.minus.ops.ravel()))
 
-    def physical_tile_count(self):
-        if self.physical_tile is None:
-            return 1
-        tr, tc = self.physical_tile
-        return -(-self.rows // tr) * -(-self.cols // tc)
-
-    def ops_by_physical_tile(self):
-        """Program-op totals per physical array (both pair halves combined)."""
-        if self.physical_tile is None:
-            return np.asarray([[self.total_ops()]])
-        tr, tc = self.physical_tile
-        nr, nc = -(-self.rows // tr), -(-self.cols // tc)
-        out = np.zeros((nr, nc), dtype=np.int64)
-        ops = self.plus.ops + self.minus.ops
-        for i in range(nr):
-            for j in range(nc):
-                out[i, j] = ops[i * tr:(i + 1) * tr, j * tc:(j + 1) * tc].sum()
-        return out
-
     # -- state -----------------------------------------------------------------
 
     def state_dict(self, prefix=""):
@@ -208,7 +184,7 @@ class CrossbarTile:
     def load_state_dict(self, state, prefix=""):
         self.plus.load_state_dict(state, prefix + "plus.")
         self.minus.load_state_dict(state, prefix + "minus.")
-        self._w_eff = None
+        self._w_eff[...] = self._decode(self.plus.g, self.minus.g)
 
 
 def dump_tiles_tsv(path, tiles, layer_names=None):

@@ -2,10 +2,12 @@
 
 These are the straightforward versions of what the package now does
 incrementally: the plasticity factor and the gated update evaluated on every
-weight, a full re-projection of the hidden weights, the Adam directions with
-one temporary per operation, a crossbar write that encodes and compares every
-pair, cell programming through boolean masks, and the per-cell dump formatted
-from numpy scalars. The shipped code must reproduce them bit for bit.
+weight, a full re-projection of the hidden weights (where the layer's
+``set_hidden`` re-projects only the weights that left their level), the Adam
+directions with one temporary per operation, a crossbar write that encodes and
+compares every pair, cell programming through boolean masks, and the per-cell
+dump formatted from numpy scalars. The shipped code must reproduce them bit
+for bit.
 """
 
 import warnings
@@ -118,8 +120,8 @@ def reference_encode_levels(k):
 def reference_write_levels(tile, signed_levels):
     """Encode and compare every pair, program the differing cells.
 
-    The tile is reloaded from its own state afterwards, which drops whatever
-    it cached about its cells, so the shipped code can take over from here.
+    The tile is reloaded from its own state afterwards, which decodes its
+    cells afresh, so the shipped code can take over from here.
     """
     k = np.asarray(signed_levels)
     if k.shape != tile.shape:
@@ -137,14 +139,21 @@ def reference_decode(tile):
 
 
 def reference_train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
-    """harness.train_step built from the full-matrix pieces above."""
+    """harness.train_step built from the full-matrix pieces above.
+
+    The layers' levels come from ``reference_projection``, never from
+    ``DenseLayer.set_hidden``; their projection intervals are rebuilt from
+    those levels so the shipped code can take over from here.
+    """
     loss, grads, _ = mlp.loss_grads(x, y)
     u = reference_adam_directions(adam, grads)
     ops = 0
     for i, layer in enumerate(mlp.layers):
         w_new = reference_metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"],
                                              mlp.grid, m_star, lr, layer.level_idx)
-        layer.set_hidden(w_new)
+        layer.level_idx, layer.w_quant = reference_projection(mlp.grid, w_new)
+        layer.w_hidden = w_new
+        layer._bounds = mlp.grid.level_bounds(layer.level_idx, w_new.dtype)
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)
         if layer.tile is not None:

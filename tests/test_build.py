@@ -2,10 +2,10 @@
 
 ``harness.build_model`` is the only code that draws initial weights, the same
 way in both modes; crossbar mode then programs each tile from its layer's
-levels. ``harness.restore_run`` builds from a checkpoint's arrays instead and
-programs no cell. The initial state is pinned by sha256 digests, so a
-refactor of the builder that moves a single draw fails here before it shows
-up in a run's outputs.
+levels. ``harness.restore_run`` builds from a checkpoint's arrays instead,
+programs no cell and projects each hidden weight once. The initial state is
+pinned by sha256 digests, so a refactor of the builder that moves a single
+draw fails here before it shows up in a run's outputs.
 """
 
 import hashlib
@@ -19,6 +19,7 @@ import memqnn
 from memqnn import harness
 from memqnn.device import CellArray
 from memqnn.optim import Adam
+from memqnn.quantgrid import QuantGrid
 from memqnn.xbar import encode_levels
 
 # sha256 over every layer's hidden weights and level indices, every tile's
@@ -94,8 +95,17 @@ def test_restore_programs_no_cell(tmp_path, monkeypatch, dtype):
     def program(*args, **kwargs):
         raise AssertionError("restore_run programmed a cell")
 
+    projected = []
+    project = QuantGrid.project
+
+    def counting_project(grid, w_hidden):
+        projected.append(np.size(w_hidden))
+        return project(grid, w_hidden)
+
     monkeypatch.setattr(CellArray, "program", program)
+    monkeypatch.setattr(QuantGrid, "project", counting_project)
     _, clone, _, _, clone_device_rng = harness.restore_run(state)
+    assert sum(projected) == sum(layer.w_hidden.size for layer in mlp.layers)
     assert clone_device_rng.bit_generator.state == device_rng.bit_generator.state
     for a, b in zip(mlp.layers, clone.layers):
         assert b.tile.rng is clone_device_rng

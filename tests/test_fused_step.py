@@ -123,7 +123,7 @@ class TestIncrementalProjection:
     @settings(max_examples=60, deadline=None)
     @given(grid=grids(), seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
            lr=st.sampled_from([1e-3, 0.05, 2.0]))
-    def test_update_hidden_equals_full_projection(self, grid, seed, dtype, lr):
+    def test_set_hidden_equals_full_projection(self, grid, seed, dtype, lr):
         rng = np.random.default_rng(seed)
         layer = DenseLayer(grid.clip_hidden(hidden_weights(rng, grid, dtype, (8, 6))), grid)
         for _ in range(4):
@@ -135,7 +135,7 @@ class TestIncrementalProjection:
             pick = rng.random(layer.shape) < 0.2
             w_new[pick] = ties[pick]
             old_idx = layer.level_idx.copy()
-            moved = layer.update_hidden(w_new)
+            moved = layer.set_hidden(w_new)
             idx, wq = reference_projection(grid, w_new)
             assert same_bytes(moved, np.flatnonzero(idx != old_idx))
             assert same_bytes(layer.level_idx, idx)
@@ -145,7 +145,7 @@ class TestIncrementalProjection:
     def test_multi_level_jump(self):
         grid = uniform_grid(17, -1.5, 1.5)
         layer = DenseLayer(np.zeros((2, 2), np.float32), grid)
-        layer.update_hidden(np.array([[1.5, -1.5], [0.0, 0.4]], np.float32))
+        layer.set_hidden(np.array([[1.5, -1.5], [0.0, 0.4]], np.float32))
         assert np.array_equal(layer.level_idx, [[16, 0], [8, 10]])
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -154,14 +154,13 @@ class TestIncrementalProjection:
         grid = derive_grid(default_levelspec()).grid
         # weights on the bottom level, inside the grid and on the top level
         layer = DenseLayer(np.linspace(-2, 2, 12, dtype=dtype).reshape(3, 4), grid)
-        layer.update_hidden(layer.w_hidden.copy())  # bounds are live now
         assert layer.level_idx[0, 0] == 0 and layer.level_idx[2, 3] == grid.n - 1
         before = (layer.w_hidden, layer.level_idx.copy(), layer.w_quant.copy())
         for pos in ((0, 0), (1, 2), (2, 3)):
             w = layer.w_hidden.copy()
             w[pos] = bad
             with pytest.raises(FloatingPointError):
-                layer.update_hidden(w)
+                layer.set_hidden(w)
             assert layer.w_hidden is before[0]
             assert same_bytes(layer.level_idx, before[1]) and same_bytes(layer.w_quant, before[2])
 
@@ -176,9 +175,9 @@ class TestIncrementalProjection:
     def test_shape_or_dtype_change_rejected(self):
         layer = DenseLayer(np.zeros((3, 4)), uniform_grid(5, -1, 1))
         with pytest.raises(ValueError):
-            layer.update_hidden(np.zeros((4, 3)))
+            layer.set_hidden(np.zeros((4, 3)))
         with pytest.raises(ValueError):
-            layer.update_hidden(np.zeros((3, 4), np.float32))
+            layer.set_hidden(np.zeros((3, 4), np.float32))
 
 
 def _write_sequence(rng, shape, n):

@@ -54,11 +54,11 @@ class TestConfig:
         # guards the serialized form: json writes the tuple fields as lists
         cfg = ExperimentConfig(grid_source="explicit",
                                grid_level_values=[-1.0, -0.25, 0.0, 0.25, 1.0],
-                               physical_tile=(32, 16), data_dir="data/pinned",
+                               data_dir="data/pinned",
                                out_dir="runs/pinned")
         text = cfg.to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "64e8406c7715a9cdb6d8c6bad3cd5f04ff336887e58fe849e8b458b3a8487ee6")
+            "5fd1c2af63b8b247c44a32f26cd59ec0b6ebe3789ae9740308169867f4892a50")
         assert ExperimentConfig.from_json(text) == cfg
 
     def test_preset_scales(self):
@@ -79,10 +79,10 @@ class TestConfig:
         dict(batch_size=0),
         dict(dtype="float16"),
         dict(tasks=[TaskSpec("a", 1), TaskSpec("a", 2)]),
-        dict(physical_tile=(0, 4)),
-        dict(physical_tile=(4,)),
-        dict(physical_tile=(4, 2.5)),
-        dict(physical_tile=4),
+        dict(init_span=-2.0),
+        dict(init_span=0.0),
+        dict(init_span=float("nan")),
+        dict(init_span=float("inf")),
     ])
     def test_validation_failures(self, bad):
         with pytest.raises(ConfigError):
@@ -441,7 +441,11 @@ class TestCli:
                             (lambda d: d["tasks"][0].update(epochs="3"), "epochs"),
                             (lambda d: d.update(lr="fast"), "lr"),
                             (lambda d: d.update(batch_size=True), "batch_size"),
-                            (lambda d: d.update(tasks=["mnist"]), "tasks[0]")):
+                            (lambda d: d.update(tasks=["mnist"]), "tasks[0]"),
+                            (lambda d: d.update(physical_tile=[32, 16]), "physical_tile"),
+                            (lambda d: d.update(init_span=-2.0), "init_span"),
+                            (lambda d: d.update(init_span=float("nan")), "init_span"),
+                            (lambda d: d.update(init_span=1e300), "init_span")):
             payload = json.loads(cfg.to_json())
             edit(payload)
             texts.append((json.dumps(payload), named))

@@ -222,6 +222,15 @@ class TestInitAndState:
         clone.load_state_dict(mlp.state_dict())
         assert np.array_equal(clone.forward(x), ref)
 
+    def test_bn_state_copied_in_net_dtype(self, grid17):
+        mlp = toy_net(grid17, dtype=np.float32)
+        state = [tuple(np.full(16, v) for v in (2.0, -1.0, 0.5, 3.0))]  # float64
+        mlp.set_bn_state(state)
+        state[0][0][:] = 7.0  # the net holds copies
+        got = mlp.bn_state()
+        assert [a.dtype for a in got[0]] == [np.dtype(np.float32)] * 4
+        assert [a.tolist() for a in got[0]] == [[v] * 16 for v in (2.0, -1.0, 0.5, 3.0)]
+
     def test_built_from_matrices(self, grid17):
         mlp = MLP([np.zeros((6, 5), np.float32), np.zeros((5, 3), np.float32)], grid17)
         assert mlp.dims == (6, 5, 3) and mlp.dtype == np.float32

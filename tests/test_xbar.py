@@ -215,15 +215,6 @@ class TestHardwareInit:
 
 
 class TestAccounting:
-    def test_physical_tiling_counts(self, dgrid):
-        tile = CrossbarTile(300, 200, dgrid, np.random.default_rng(0),
-                            physical_tile=(128, 128))
-        assert tile.physical_tile_count() == 3 * 2
-        tile.write_levels(np.zeros((300, 200), dtype=int))
-        per = tile.ops_by_physical_tile()
-        assert per.shape == (3, 2)
-        assert per.sum() == tile.total_ops()
-
     def test_dump_format(self, dgrid, tmp_path):
         tile = CrossbarTile(3, 2, dgrid, np.random.default_rng(0))
         tile.write_levels(np.full((3, 2), -4))
