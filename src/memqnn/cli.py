@@ -11,9 +11,7 @@ from .data import DATASETS, fetch_dataset
 from .errors import ConfigError, IdxFormatError
 from .harness import (
     ExperimentConfig,
-    checkpoint_bn_snapshots,
     evaluate,
-    load_checkpoint,
     load_task_splits,
     ops_histogram,
     preset,
@@ -99,9 +97,7 @@ def cmd_hist_ops(args):
 
 
 def cmd_eval(args):
-    state = load_checkpoint(args.checkpoint)
-    config, mlp, _, _, _ = restore_run(state)
-    snapshots = checkpoint_bn_snapshots(state)
+    config, mlp, *_, snapshots = restore_run(args.checkpoint)
     data_dir = args.data_dir or config.data_dir
     tests = load_task_splits(dataclasses.replace(config, data_dir=data_dir), ("test",))["test"]
     for name, split in tests.items():

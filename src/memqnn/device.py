@@ -162,9 +162,9 @@ class CellArray:
         return {prefix + "level": self.level, prefix + "g": self.g, prefix + "ops": self.ops}
 
     def load_state_dict(self, state, prefix=""):
-        level = np.asarray(state[prefix + "level"], dtype=np.int8)
-        if level.shape != self.shape:
-            raise ValueError(f"cell state shape {level.shape} != array shape {self.shape}")
-        self.level = level.copy()
-        self.g = np.asarray(state[prefix + "g"], dtype=np.float64).reshape(self.shape).copy()
-        self.ops = np.asarray(state[prefix + "ops"], dtype=np.int64).reshape(self.shape).copy()
+        arrays = {name: np.array(state[prefix + name], dtype=dtype)
+                  for name, dtype in (("level", np.int8), ("g", np.float64), ("ops", np.int64))}
+        for name, a in arrays.items():
+            if a.shape != self.shape:
+                raise ValueError(f"{prefix}{name} shape {a.shape} != cell array shape {self.shape}")
+        self.level, self.g, self.ops = arrays.values()

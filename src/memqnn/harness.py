@@ -8,8 +8,8 @@ from the directory alone. Outputs per run:
     metrics.csv      epoch, task, acc_<task>..., cum_ops (one row per epoch)
     run.json         wall-clock and summary numbers (kept out of metrics.csv
                      so identical runs produce byte-identical metrics)
-    checkpoint.npz   hidden/quantized weights, BN, optimizer and RNG state,
-                     tile state in crossbar mode
+    checkpoint.npz   hidden weights, BN and its per-task snapshots, optimizer,
+                     RNG state and tile cells; no level (they derive from these)
     devices.tsv      per-cell level/conductance/op-count dump (crossbar only)
 
 Every epoch evaluates on every task's held-out test split, which is what
@@ -41,7 +41,7 @@ import numpy as np
 from .data import TaskSpec, batches, load_dataset
 from .device import LevelSpec, default_levelspec
 from .errors import ConfigError
-from .net import MLP, init_hidden_uniform
+from .net import _BN_FIELDS, MLP, init_hidden_uniform
 from .optim import Adam, bn_update, metaplastic_update
 from .quantgrid import QuantGrid, uniform_grid
 from .xbar import CrossbarTile, derive_grid, dump_tiles_tsv, encode_levels
@@ -60,13 +60,11 @@ __all__ = [
     "write_ops_histogram_csv",
     "read_ops_counts",
     "save_checkpoint",
-    "load_checkpoint",
-    "checkpoint_bn_snapshots",
     "restore_run",
 ]
 
 CHECKPOINT_VERSION = 1
-_BN_PARTS = ("gamma", "beta", "mean", "var")  # one bn_state() entry per layer
+_BN_PARTS = ("gamma", "beta", "mean", "var")  # a bn_state() tuple in a BN snapshot
 _HIST_ROW = "{},{},{:.6f}"  # one ops_histogram row: ops_lo, ops_hi, pct_devices
 
 
@@ -107,8 +105,14 @@ class ExperimentConfig:
 
     def validate(self):
         problems = []
-        if len(self.dims) < 2 or any(int(d) <= 0 for d in self.dims):
-            problems.append(f"dims must be >= 2 positive sizes, got {self.dims}")
+        if len(self.dims) < 2 or not all(isinstance(d, (int, np.integer))
+                                         and not isinstance(d, bool) and d > 0
+                                         for d in self.dims):
+            problems.append(f"dims must be >= 2 positive ints, got {self.dims}")
+        infinite = [name for name in ("lr", "m_star", "target_max", "device_sigma_frac",
+                                      "read_noise_sigma") if not np.isfinite(getattr(self, name))]
+        if infinite:
+            problems.append(f"{', '.join(infinite)} must be finite")
         if self.grid_source not in ("uniform", "device", "explicit"):
             problems.append(f"grid_source must be uniform|device|explicit, got {self.grid_source!r}")
         if self.weight_source not in ("exact", "crossbar"):
@@ -141,6 +145,13 @@ class ExperimentConfig:
             problems.append("endurance must be >= 1")
         if not (np.isfinite(self.init_span) and self.init_span > 0):
             problems.append(f"init_span must be finite and > 0, got {self.init_span}")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            problems.append("adam_beta1 and adam_beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            problems.append("adam_eps must be > 0")
+        problems += [f"task {t.name!r}: m_star must be finite and >= 0, got {t.m_star}"
+                     for t in self.tasks
+                     if t.m_star is not None and not (np.isfinite(t.m_star) and t.m_star >= 0)]
         names = [t.name for t in self.tasks]
         if len(set(names)) != len(names):
             problems.append(f"task names must be unique, got {names}")
@@ -315,9 +326,9 @@ def evaluate(mlp, split, eval_batch=1000, bn_state=None):
     per-finished-task protocol); the live state is restored afterwards.
     """
     live = mlp.bn_state() if bn_state is not None else None
-    if bn_state is not None:
-        mlp.set_bn_state(bn_state)
     try:
+        if bn_state is not None:
+            mlp.set_bn_state(bn_state)
         correct = 0
         for start in range(0, len(split), eval_batch):
             logits = mlp.forward(split.images[start:start + eval_batch], train=False)
@@ -374,9 +385,16 @@ def _unpack_json(arr):
     return json.loads(np.asarray(arr, dtype=np.uint8).tobytes().decode())
 
 
+def _bn_keys(task, i):
+    """Checkpoint names of BN layer i's ``bn_state()`` tuple: live, or ``task``'s snapshot."""
+    if task is None:
+        return [f"layer{i}.bn.{name}" for name in _BN_FIELDS]
+    return [f"bnsnap.{task}.{i}.{part}" for part in _BN_PARTS]
+
+
 def save_checkpoint(path, config, mlp, adam, data_rng, device_rng, epoch, cum_ops,
                     bn_snapshots=None):
-    """Single-file run state: weights, BN, optimizer, RNG streams, tile state."""
+    """Single-file run state, read back by ``restore_run``; no level is stored."""
     state = {
         "format_version": np.asarray(CHECKPOINT_VERSION),
         "epoch": np.asarray(epoch),
@@ -385,29 +403,27 @@ def save_checkpoint(path, config, mlp, adam, data_rng, device_rng, epoch, cum_op
         "data_rng": _pack_json(data_rng.bit_generator.state),
         "device_rng": _pack_json(device_rng.bit_generator.state),
     }
-    state.update(mlp.state_dict())
-    state.update({f"adam.{k}": v for k, v in adam.state_dict().items()})
-    for task_name, snap in (bn_snapshots or {}).items():
+    for i, layer in enumerate(mlp.layers):
+        state[f"layer{i}.w_hidden"] = layer.w_hidden
+        if layer.tile is not None:
+            state.update(layer.tile.state_dict(prefix=f"tile{i}."))
+    for task, snap in [(None, mlp.bn_state()), *(bn_snapshots or {}).items()]:
         for i, arrays in enumerate(snap):
-            for part, arr in zip(_BN_PARTS, arrays):
-                state[f"bnsnap.{task_name}.{i}.{part}"] = arr
+            state.update(zip(_bn_keys(task, i), arrays))
+    state.update({f"adam.{k}": v for k, v in adam.state_dict().items()})
     np.savez_compressed(path, **state)
 
 
-def checkpoint_bn_snapshots(state):
-    """Per-task BN snapshots stored in a checkpoint, as {task: bn_state}."""
-    tasks = {}
-    for key in state:
-        if key.startswith("bnsnap.") and key.endswith(".gamma"):
-            task_name, idx = key[len("bnsnap."):-len(".gamma")].rsplit(".", 1)
-            tasks.setdefault(task_name, set()).add(int(idx))
-    return {task_name: [tuple(state[f"bnsnap.{task_name}.{i}.{part}"]
-                              for part in _BN_PARTS) for i in sorted(idxs)]
-            for task_name, idxs in tasks.items()}
+def restore_run(path):
+    """``save_checkpoint``'s arguments, in its order, read back from ``path``.
 
-
-def load_checkpoint(path):
-    """Checkpoint arrays by name; a file that is not a checkpoint raises ConfigError."""
+    Nothing is drawn or programmed: the MLP is built from the stored hidden
+    weights and the tiles take their cells from the file. A file that is not
+    a checkpoint of this version, a missing or malformed array, weights that
+    do not chain as the config's dims, and a tile whose cells do not encode
+    its layer's levels raise ConfigError: training rewrites only pairs whose
+    level changes, so it would never mend such a tile.
+    """
     try:
         with np.load(path) as z:
             state = {k: z[k] for k in z.files}
@@ -416,40 +432,39 @@ def load_checkpoint(path):
     version = state.get("format_version")
     if version is None or int(version) != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    return state
-
-
-def restore_run(state):
-    """Rebuild (config, mlp, adam, data_rng, device_rng) from checkpoint state.
-
-    The MLP is built from the stored hidden weights and, in crossbar mode,
-    its tiles take their cells from the checkpoint; nothing is drawn or
-    programmed. A missing array, or a tile whose cells do not encode its
-    layer's levels, raises ConfigError: training rewrites only pairs whose
-    level changes, so it would never mend such a tile.
-    """
     try:
-        config = ExperimentConfig.from_dict(_unpack_json(state["config_json"]))
+        config = ExperimentConfig.from_dict(_unpack_json(state["config_json"])).validate()
         data_rng, device_rng = np.random.default_rng(0), np.random.default_rng(0)
         data_rng.bit_generator.state = _unpack_json(state["data_rng"])
         device_rng.bit_generator.state = _unpack_json(state["device_rng"])
         grid, dgrid = build_grid(config)
-        hidden = [np.asarray(state[f"layer{i}.w_hidden"], dtype=config.dtype)
-                  for i in range(len(config.dims) - 1)]
-        # the tiles keep drawing from device_rng
-        mlp = _bind_tiles(config, MLP(hidden, grid), dgrid, device_rng)
-        mlp.load_state_dict(state)
+        mlp = MLP([np.asarray(state[f"layer{i}.w_hidden"], dtype=config.dtype)
+                   for i in range(len(config.dims) - 1)], grid)
+        if mlp.dims != tuple(config.dims):
+            raise ConfigError(f"the weights chain as dims {mlp.dims}, "
+                              f"the config says dims {tuple(config.dims)}")
+        _bind_tiles(config, mlp, dgrid, device_rng)  # the tiles keep drawing from device_rng
+        for i, layer in enumerate(mlp.layers):
+            if layer.tile is not None:
+                layer.tile.load_state_dict(state, prefix=f"tile{i}.")
+                if not all(map(np.array_equal, (layer.tile.plus.level, layer.tile.minus.level),
+                               encode_levels(dgrid.signed_levels(layer.level_idx)))):
+                    raise ConfigError(f"tile{i} cells do not encode layer {i}'s levels")
+        n_bn = len(mlp.layers) - 1
+        bn_snapshots = {t.name: [tuple(state[k] for k in _bn_keys(t.name, i)) for i in range(n_bn)]
+                        for t in config.tasks if _bn_keys(t.name, 0)[0] in state}
+        live = [tuple(state[k] for k in _bn_keys(None, i)) for i in range(n_bn)]
+        for snap in (*bn_snapshots.values(), live):  # each install checks shapes; live goes last
+            mlp.set_bn_state(snap)
         adam = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
         adam.load_state_dict({k[len("adam."):]: v for k, v in state.items()
                               if k.startswith("adam.")})
+        epoch, cum_ops = int(state["epoch"]), int(state["cum_ops"])
     except KeyError as e:
-        raise ConfigError(f"checkpoint lacks array {e}") from None
-    for i, layer in enumerate(mlp.layers):
-        tile = layer.tile
-        if tile is not None and not all(map(np.array_equal, (tile.plus.level, tile.minus.level),
-                                            encode_levels(dgrid.signed_levels(layer.level_idx)))):
-            raise ConfigError(f"checkpoint tile{i} cells do not encode layer {i}'s levels")
-    return config, mlp, adam, data_rng, device_rng
+        raise ConfigError(f"{path}: checkpoint lacks array {e}") from None
+    except (ValueError, FloatingPointError) as e:  # a ConfigError is a ValueError
+        raise ConfigError(f"{path}: {e}") from None
+    return config, mlp, adam, data_rng, device_rng, epoch, cum_ops, bn_snapshots
 
 
 # -- top-level runs -----------------------------------------------------------------
@@ -550,11 +565,18 @@ def run_sweep(config: ExperimentConfig, m_values, log=None):
     values = list(m_values)
     if not values:
         raise ConfigError("sweep needs at least one m* value")
-    results = _run_each(config, [(f"mstar_{m:g}", {"m_star": float(m)}) for m in values], log)
+    bad = [m for m in values if not (np.isfinite(m) and m >= 0)]
+    if bad:
+        raise ConfigError(f"sweep m* values must be finite and >= 0, got {bad}")
+    names = [f"{m:g}" for m in values]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"sweep m* values {names} name one run directory twice")
+    results = _run_each(config, [(f"mstar_{name}", {"m_star": float(m)})
+                                 for name, m in zip(names, values)], log)
     task_names = [t.name for t in config.tasks]
     rows = []
-    for m, res in zip(values, results):
-        row = [f"{m:g}"]
+    for name, res in zip(names, results):
+        row = [name]
         row += [f"{res.final_accuracy(n):.4f}" for n in task_names]
         row += [f"{res.max_accuracy(n):.4f}" for n in task_names]
         row.append(str(res.cum_ops))

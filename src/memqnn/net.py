@@ -261,34 +261,13 @@ class MLP:
             raise ValueError(f"bn state holds {len(state)} layers, net has {len(bns)}")
         for bn, arrays in zip(bns, state):
             for name, a in zip(_BN_FIELDS, arrays, strict=True):
-                setattr(bn, name, np.array(a, dtype=self.dtype))
+                a = np.array(a, dtype=self.dtype)
+                if a.shape != getattr(bn, name).shape:
+                    raise ValueError(f"bn {name} shape {a.shape} != {getattr(bn, name).shape}")
+                setattr(bn, name, a)
 
     def _bns(self):
         return [layer.bn for layer in self.layers if layer.bn is not None]
-
-    def state_dict(self):
-        """Weights, BN and, for bound tiles, their cell state (``tile<i>.*``)."""
-        state = {"dims": np.asarray(self.dims), "grid_levels": self.grid.levels}
-        bn_states = iter(self.bn_state())
-        for i, layer in enumerate(self.layers):
-            state[f"layer{i}.w_hidden"] = layer.w_hidden
-            state[f"layer{i}.level_idx"] = layer.level_idx.astype(np.int16)
-            if layer.bn is not None:
-                state.update(zip((f"layer{i}.bn.{name}" for name in _BN_FIELDS),
-                                 next(bn_states)))
-            if layer.tile is not None:
-                state.update(layer.tile.state_dict(prefix=f"tile{i}."))
-        return state
-
-    def load_state_dict(self, state):
-        if tuple(state["dims"]) != self.dims:
-            raise ValueError(f"checkpoint dims {tuple(state['dims'])} != net dims {self.dims}")
-        for i, layer in enumerate(self.layers):
-            layer.set_hidden(np.asarray(state[f"layer{i}.w_hidden"], dtype=self.dtype))
-            if layer.tile is not None:
-                layer.tile.load_state_dict(state, prefix=f"tile{i}.")
-        self.set_bn_state([tuple(state[f"layer{i}.bn.{name}"] for name in _BN_FIELDS)
-                           for i, layer in enumerate(self.layers) if layer.bn is not None])
 
 
 def init_hidden_uniform(shape, grid: QuantGrid, rng, span=2.0):

@@ -391,8 +391,7 @@ def test_restore_then_steps_equals_uninterrupted(tmp_path, mode, dtype):
     for x, y in batches[:4]:
         harness.train_step(mlp, adam, x, y, 3.0, cfg.lr, dgrid)
     harness.save_checkpoint(tmp_path / "ck.npz", cfg, mlp, adam, data_rng, device_rng, 0, 0)
-    _, clone, clone_adam, _, clone_device_rng = harness.restore_run(
-        harness.load_checkpoint(tmp_path / "ck.npz"))
+    _, clone, clone_adam, _, clone_device_rng, *_ = harness.restore_run(tmp_path / "ck.npz")
     flips = 0
     for x, y in batches[4:]:
         old = [layer.level_idx.copy() for layer in mlp.layers]

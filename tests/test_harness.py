@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from memqnn.data import TaskSpec, load_dataset
 from memqnn.errors import ConfigError
 from memqnn.harness import (
     ExperimentConfig,
-    checkpoint_bn_snapshots,
     evaluate,
-    load_checkpoint,
     ops_histogram,
     preset,
     read_ops_counts,
@@ -21,6 +20,7 @@ from memqnn.harness import (
     run_repeated,
     run_sequential,
     run_sweep,
+    save_checkpoint,
     write_ops_histogram_csv,
 )
 
@@ -165,13 +165,11 @@ class TestSequentialRun:
         on = run_sequential(synth_config(synth_data_dir, tmp_path / "bn_on"))
         off = run_sequential(synth_config(synth_data_dir, tmp_path / "bn_off",
                                           per_task_bn=False))
-        snaps_on = checkpoint_bn_snapshots(load_checkpoint(on.out_dir / "checkpoint.npz"))
-        snaps_off = checkpoint_bn_snapshots(load_checkpoint(off.out_dir / "checkpoint.npz"))
+        _, mlp, *_, snaps_on = restore_run(on.out_dir / "checkpoint.npz")
+        *_, snaps_off = restore_run(off.out_dir / "checkpoint.npz")
         assert set(snaps_on) == {"synthA", "synthB"}
         assert snaps_off == {}
         # the recorded metric for a finished task is the snapshot-BN evaluation
-        state = load_checkpoint(on.out_dir / "checkpoint.npz")
-        _, mlp, _, _, _ = restore_run(state)
         split = load_dataset(synth_data_dir / "synthA", "test", name="synthA",
                              dtype=np.float32)
         snap_eval = evaluate(mlp, split, 256, bn_state=snaps_on["synthA"])
@@ -236,10 +234,10 @@ class TestCheckpoint:
     def test_restore_reproduces_eval(self, synth_data_dir, tmp_path):
         cfg = synth_config(synth_data_dir, tmp_path / "ck")
         res = run_sequential(cfg)
-        state = load_checkpoint(res.out_dir / "checkpoint.npz")
-        config, mlp, adam, _, _ = restore_run(state)
-        snaps = checkpoint_bn_snapshots(state)
+        config, mlp, adam, _, _, epoch, cum_ops, snaps = restore_run(
+            res.out_dir / "checkpoint.npz")
         assert set(snaps) == {"synthA", "synthB"}
+        assert (epoch, cum_ops) == (len(res.records), res.cum_ops)
         split = load_dataset(synth_data_dir / "synthA", "test", name="synthA",
                              dtype=np.dtype(config.dtype))
         acc = evaluate(mlp, split, config.eval_batch, bn_state=snaps["synthA"])
@@ -250,9 +248,8 @@ class TestCheckpoint:
         cfg = synth_config(synth_data_dir, tmp_path / "ckx",
                            weight_source="crossbar", grid_source="device")
         res = run_sequential(cfg)
-        state = load_checkpoint(res.out_dir / "checkpoint.npz")
-        config, mlp, _, _, _ = restore_run(state)
-        snaps = checkpoint_bn_snapshots(state)
+        config, mlp, *_, cum_ops, snaps = restore_run(res.out_dir / "checkpoint.npz")
+        assert cum_ops == res.cum_ops
         split = load_dataset(synth_data_dir / "synthB", "test", name="synthB",
                              dtype=np.dtype(config.dtype))
         acc = evaluate(mlp, split, 256, bn_state=snaps["synthB"])
@@ -269,7 +266,7 @@ class TestCheckpoint:
         state["tile0.plus.level"] = level
         np.savez(tmp_path / "altered.npz", **state)
         with pytest.raises(ConfigError, match="tile0"):
-            restore_run(load_checkpoint(tmp_path / "altered.npz"))
+            restore_run(tmp_path / "altered.npz")
         assert cli_main(["eval", "--checkpoint", str(tmp_path / "altered.npz"),
                          "--data-dir", str(synth_data_dir)]) == 2
         assert "tile0" in capsys.readouterr().err
@@ -279,19 +276,52 @@ class TestCheckpoint:
                            grid_source="device", tasks=[TaskSpec("synthA", 1)],
                            pretrain_epochs=0)
         res = run_sequential(cfg)
-        state = dict(np.load(res.out_dir / "checkpoint.npz"))
-        del state["tile0.minus.g"]
-        np.savez(tmp_path / "lacking.npz", **state)
-        with pytest.raises(ConfigError, match="tile0.minus.g"):
-            restore_run(load_checkpoint(tmp_path / "lacking.npz"))
+        saved = dict(np.load(res.out_dir / "checkpoint.npz"))
+        config = json.loads(saved["config_json"].tobytes())
+
+        def with_dims(dims):
+            packed = json.dumps({**config, "dims": dims}).encode()
+            return {**saved, "config_json": np.frombuffer(packed, np.uint8)}
+
+        damaged = {
+            "lacking.npz": ({k: v for k, v in saved.items() if k != "tile0.minus.g"},
+                            "tile0.minus.g"),
+            "fewer_dims.npz": (with_dims([64, 24, 10]), "dims (64, 24, 24)"),
+            "more_dims.npz": (with_dims([64, 30, 24, 10]), "dims (64, 24, 24, 10)"),
+            "cell_shape.npz": ({**saved, "tile0.plus.g": saved["tile0.plus.g"].T},
+                               "tile0.plus.g shape (24, 64)"),
+            "nan_weight.npz": ({**saved, "layer1.w_hidden": saved["layer1.w_hidden"] * np.nan},
+                               "must be finite"),
+        }
+        for name, (state, _) in damaged.items():
+            np.savez(tmp_path / name, **state)
         (tmp_path / "text.npz").write_text("not a checkpoint file\n")
-        with pytest.raises(ConfigError, match="text.npz"):
-            load_checkpoint(tmp_path / "text.npz")
-        for name, named in (("lacking.npz", "tile0.minus.g"), ("text.npz", "text.npz")):
+        cases = [(name, named) for name, (_, named) in damaged.items()]
+        cases.append(("text.npz", "text.npz"))
+        for name, named in cases:
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                restore_run(tmp_path / name)
             assert cli_main(["eval", "--checkpoint", str(tmp_path / name),
                              "--data-dir", str(synth_data_dir)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("mode", ["exact", "crossbar"])
+    def test_restore_returns_what_was_saved(self, synth_data_dir, tmp_path, mode, dtype):
+        cfg = synth_config(synth_data_dir, tmp_path / "rt", weight_source=mode, dtype=dtype,
+                           grid_source="device" if mode == "crossbar" else "uniform",
+                           tasks=[TaskSpec("synthA", 1), TaskSpec("synthB", 1)],
+                           pretrain_epochs=0)
+        first = run_sequential(cfg).out_dir / "checkpoint.npz"
+        save_checkpoint(tmp_path / "again.npz", *restore_run(first))
+        with np.load(first) as a, np.load(tmp_path / "again.npz") as b:
+            assert sorted(a.files) == sorted(b.files)
+            assert {"bnsnap.synthB.1.var", "epoch", "cum_ops"} <= set(a.files)
+            assert not {"dims", "grid_levels", "layer0.level_idx"} & set(a.files)
+            for name in a.files:
+                x, y = a[name], b[name]
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
     def test_version_gate(self, synth_data_dir, tmp_path):
         cfg = synth_config(synth_data_dir, tmp_path / "cv",
@@ -300,8 +330,8 @@ class TestCheckpoint:
         state = dict(np.load(res.out_dir / "checkpoint.npz"))
         state["format_version"] = np.asarray(99)
         np.savez(tmp_path / "bad.npz", **state)
-        with pytest.raises(ConfigError):
-            load_checkpoint(tmp_path / "bad.npz")
+        with pytest.raises(ConfigError, match="version 99"):
+            restore_run(tmp_path / "bad.npz")
 
 
 class TestSweep:
@@ -318,6 +348,17 @@ class TestSweep:
     def test_empty_sweep_rejected(self, synth_data_dir, tmp_path):
         with pytest.raises(ConfigError):
             run_sweep(synth_config(synth_data_dir, tmp_path / "e"), [])
+
+    @pytest.mark.parametrize("values", [[0.0, -1.0], [0.0, float("nan")], [float("inf")]])
+    def test_sweep_values_checked_first(self, synth_data_dir, tmp_path, values):
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            run_sweep(synth_config(synth_data_dir, tmp_path / "v"), values)
+        assert not (tmp_path / "v").exists()
+
+    def test_sweep_run_names_unique(self, synth_data_dir, tmp_path):
+        with pytest.raises(ConfigError, match="twice"):
+            run_sweep(synth_config(synth_data_dir, tmp_path / "u"), [0.1, 0.1000001])
+        assert not (tmp_path / "u").exists()
 
     def test_repeats_summary(self, synth_data_dir, tmp_path):
         cfg = synth_config(synth_data_dir, tmp_path / "rep",
@@ -445,7 +486,25 @@ class TestCli:
                             (lambda d: d.update(physical_tile=[32, 16]), "physical_tile"),
                             (lambda d: d.update(init_span=-2.0), "init_span"),
                             (lambda d: d.update(init_span=float("nan")), "init_span"),
-                            (lambda d: d.update(init_span=1e300), "init_span")):
+                            (lambda d: d.update(init_span=1e300), "init_span"),
+                            (lambda d: d.update(dims=[64, "a", 10]), "dims"),
+                            (lambda d: d.update(dims=[64, 24.5, 10]), "dims"),
+                            (lambda d: d.update(dims=[64, True, 10]), "dims"),
+                            (lambda d: d.update(lr=float("nan")), "lr"),
+                            (lambda d: d.update(lr=float("inf")), "lr"),
+                            (lambda d: d.update(m_star=float("inf")), "m_star"),
+                            (lambda d: d.update(target_max=float("inf")), "target_max"),
+                            (lambda d: d.update(device_sigma_frac=float("nan")),
+                             "device_sigma_frac"),
+                            (lambda d: d.update(read_noise_sigma=float("nan")),
+                             "read_noise_sigma"),
+                            (lambda d: d.update(adam_beta1=float("nan")), "adam_beta1"),
+                            (lambda d: d.update(adam_beta2=1.0), "adam_beta2"),
+                            (lambda d: d.update(adam_beta1=-0.1), "adam_beta1"),
+                            (lambda d: d.update(adam_eps=-1.0), "adam_eps"),
+                            (lambda d: d.update(adam_eps=0.0), "adam_eps"),
+                            (lambda d: d["tasks"][1].update(m_star=-1.0), "m_star"),
+                            (lambda d: d["tasks"][1].update(m_star=float("nan")), "m_star")):
             payload = json.loads(cfg.to_json())
             edit(payload)
             texts.append((json.dumps(payload), named))

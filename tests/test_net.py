@@ -211,17 +211,6 @@ class TestInitAndState:
         _, ws = grid17.project(w)
         assert (ws != 0).mean() > 0.4
 
-    def test_state_roundtrip(self, grid17):
-        mlp = toy_net(grid17, seed=5)
-        x = np.random.default_rng(6).normal(size=(6, 16))
-        y = np.random.default_rng(7).integers(0, 4, 6)
-        for _ in range(3):  # move BN running stats off their defaults
-            mlp.loss_grads(x, y)
-        ref = mlp.forward(x)
-        clone = toy_net(grid17, seed=99)
-        clone.load_state_dict(mlp.state_dict())
-        assert np.array_equal(clone.forward(x), ref)
-
     def test_bn_state_copied_in_net_dtype(self, grid17):
         mlp = toy_net(grid17, dtype=np.float32)
         state = [tuple(np.full(16, v) for v in (2.0, -1.0, 0.5, 3.0))]  # float64
@@ -230,6 +219,8 @@ class TestInitAndState:
         got = mlp.bn_state()
         assert [a.dtype for a in got[0]] == [np.dtype(np.float32)] * 4
         assert [a.tolist() for a in got[0]] == [[v] * 16 for v in (2.0, -1.0, 0.5, 3.0)]
+        with pytest.raises(ValueError, match="running_var shape"):
+            mlp.set_bn_state([(*got[0][:3], np.ones(15))])
 
     def test_built_from_matrices(self, grid17):
         mlp = MLP([np.zeros((6, 5), np.float32), np.zeros((5, 3), np.float32)], grid17)
@@ -238,9 +229,3 @@ class TestInitAndState:
         for bad in ([], [np.zeros((6, 5)), np.zeros((4, 3))], [np.zeros(6)]):
             with pytest.raises(ValueError):
                 MLP(bad, grid17)
-
-    def test_state_dims_checked(self, grid17):
-        mlp = toy_net(grid17)
-        other = toy_net(grid17, dims=(8, 4))
-        with pytest.raises(ValueError):
-            other.load_state_dict(mlp.state_dict())

@@ -5,14 +5,16 @@ Builds the two synthetic IDX tasks the test suite uses, then runs:
   - the four ``tests/test_fused_step._config`` runs (exact and crossbar mode,
     float32 and float64), hashing every output file but ``config.json``
     (which holds the output path); ``run.json`` is hashed without its
-    ``wall_seconds`` line and ``checkpoint.npz`` as the sha256 over name,
-    dtype, shape and bytes of every array but ``config_json``, in name order;
+    ``wall_seconds`` line, and ``checkpoint.npz`` one array at a time: one
+    sha256 over dtype, shape and bytes per array but ``config_json``, in name
+    order, so a format change shows which arrays went and that the rest held;
   - ``run_sweep`` over m* = 0, 3 on the exact float32 config (``sweep.csv``);
   - ``run_repeated`` with 2 repeats on the crossbar float32 config
     (``summary.csv``).
 
-One line per digest: ``<run> <file> <sha256>``. Two trees that print the same
-lines produced the same bytes.
+One line per digest: ``<run> <file> <sha256>``, with ``<file>`` spelled
+``checkpoint.npz:<array>`` for a checkpoint array. Two trees that print the
+same lines produced the same bytes.
 
 Usage: PYTHONPATH=src python tools/run_digests.py
 """
@@ -39,15 +41,13 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def checkpoint_digest(path):
-    h = hashlib.sha256()
+def checkpoint_digests(path):
     with np.load(path) as z:
         for name in sorted(z.files):
             if name != "config_json":  # holds the output path
                 a = z[name]
-                h.update(name.encode() + a.dtype.str.encode() + str(a.shape).encode()
-                         + a.tobytes())
-    return h.hexdigest()
+                yield (f"{path.name}:{name}",
+                       sha256(a.dtype.str.encode() + str(a.shape).encode() + a.tobytes()))
 
 
 def run_digests(out):
@@ -60,7 +60,7 @@ def run_digests(out):
             data = b"".join(line for line in data.splitlines(keepends=True)
                             if b"wall_seconds" not in line)
         yield name, sha256(data)
-    yield "checkpoint.npz", checkpoint_digest(out / "checkpoint.npz")
+    yield from checkpoint_digests(out / "checkpoint.npz")
 
 
 def main():
