@@ -157,6 +157,16 @@ class ExperimentConfig:
             problems.append(f"task names must be unique, got {names}")
         if problems:
             raise ConfigError("; ".join(problems))
+        # the steepest plasticity slope, 2 * m* / (narrowest width), must be finite
+        narrowest = build_grid(self)[0].widths.min()
+        with np.errstate(over="ignore"):
+            problems = [f"{what}m_star {m} overflows the plasticity slope in {self.dtype}"
+                        for what, m in [("", self.m_star)]
+                        + [(f"task {t.name!r}: ", t.m_star) for t in self.tasks]
+                        if m is not None
+                        and not np.isfinite(np.asarray(2.0 * m / narrowest, self.dtype))]
+        if problems:
+            raise ConfigError("; ".join(problems))
         return self
 
     # -- serialization ---------------------------------------------------------
@@ -346,8 +356,8 @@ def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     u = adam.directions(grads)
     ops = 0
     for i, layer in enumerate(mlp.layers):
-        w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"],
-                                   mlp.grid, m_star, lr, layer.level_idx)
+        w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"], mlp.grid,
+                                   m_star, lr, slopes=layer.side_slopes(m_star))
         moved = layer.set_hidden(w_new)
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)
@@ -394,7 +404,10 @@ def _bn_keys(task, i):
 
 def save_checkpoint(path, config, mlp, adam, data_rng, device_rng, epoch, cum_ops,
                     bn_snapshots=None):
-    """Single-file run state, read back by ``restore_run``; no level is stored."""
+    """Single-file run state, read back by ``restore_run``; no level is stored.
+
+    The Adam hyperparameters are not stored either: the config holds them.
+    """
     state = {
         "format_version": np.asarray(CHECKPOINT_VERSION),
         "epoch": np.asarray(epoch),
@@ -411,7 +424,7 @@ def save_checkpoint(path, config, mlp, adam, data_rng, device_rng, epoch, cum_op
         for i, arrays in enumerate(snap):
             state.update(zip(_bn_keys(task, i), arrays))
     state.update({f"adam.{k}": v for k, v in adam.state_dict().items()})
-    np.savez_compressed(path, **state)
+    np.savez(path, **state)  # uncompressed: deflating costs seconds at full crossbar dims
 
 
 def restore_run(path):
@@ -419,10 +432,12 @@ def restore_run(path):
 
     Nothing is drawn or programmed: the MLP is built from the stored hidden
     weights and the tiles take their cells from the file. A file that is not
-    a checkpoint of this version, a missing or malformed array, weights that
-    do not chain as the config's dims, and a tile whose cells do not encode
-    its layer's levels raise ConfigError: training rewrites only pairs whose
-    level changes, so it would never mend such a tile.
+    a checkpoint of this version, a missing or malformed array (an Adam slot
+    that fits no parameter included), weights that do not chain as the
+    config's dims, and a tile whose cells do not encode its layer's levels
+    raise ConfigError: training rewrites only pairs whose level changes, so
+    it would never mend such a tile. Compressed (``np.savez_compressed``)
+    files load as well.
     """
     try:
         with np.load(path) as z:
@@ -457,8 +472,11 @@ def restore_run(path):
         for snap in (*bn_snapshots.values(), live):  # each install checks shapes; live goes last
             mlp.set_bn_state(snap)
         adam = Adam(config.adam_beta1, config.adam_beta2, config.adam_eps)
+        shapes = {f"w{i}": layer.shape for i, layer in enumerate(mlp.layers)}
+        shapes.update({f"bn{i}.{p}": layer.bn.gamma.shape for i, layer in enumerate(mlp.layers)
+                       if layer.bn is not None for p in ("gamma", "beta")})
         adam.load_state_dict({k[len("adam."):]: v for k, v in state.items()
-                              if k.startswith("adam.")})
+                              if k.startswith("adam.")}, shapes)
         epoch, cum_ops = int(state["epoch"]), int(state["cum_ops"])
     except KeyError as e:
         raise ConfigError(f"{path}: checkpoint lacks array {e}") from None
@@ -571,6 +589,8 @@ def run_sweep(config: ExperimentConfig, m_values, log=None):
     names = [f"{m:g}" for m in values]
     if len(set(names)) != len(names):
         raise ConfigError(f"sweep m* values {names} name one run directory twice")
+    for m in values:  # each run's config (its plasticity slope), before any run starts
+        dataclasses.replace(config, m_star=float(m)).validate()
     results = _run_each(config, [(f"mstar_{name}", {"m_star": float(m)})
                                  for name, m in zip(names, values)], log)
     task_names = [t.name for t in config.tasks]

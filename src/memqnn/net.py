@@ -91,9 +91,10 @@ class DenseLayer:
     projection of ``w_hidden`` at all times outside the optimizer step. The
     constructor projects every weight once; ``set_hidden`` keeps the
     invariant by re-projecting only the weights that left their level's
-    interval and patching ``w_quant``, ``level_idx`` and the intervals in
-    place. When a crossbar tile is bound, the matrix products route through
-    it instead of ``w_quant``.
+    interval and patching ``w_quant``, ``level_idx``, the intervals and the
+    plasticity slopes in place. The slopes are built by ``side_slopes`` for
+    one m* at a time. When a crossbar tile is bound, the matrix products
+    route through it instead of ``w_quant``.
     """
 
     def __init__(self, w_hidden, grid: QuantGrid, bn: BatchNorm | None = None):
@@ -104,6 +105,8 @@ class DenseLayer:
         self.level_idx, w_quant = grid.project(w)
         self.w_quant = w_quant.astype(w.dtype, copy=False)
         self._bounds = grid.level_bounds(self.level_idx, w.dtype)  # (lo, hi] of each level
+        self._slopes_m = None  # the m* that _slopes were built for
+        self._slopes = None
 
     @property
     def shape(self):
@@ -132,8 +135,25 @@ class DenseLayer:
         np.put(self.w_quant, moved, w_quant)
         for bound, new in zip(self._bounds, self.grid.level_bounds(idx, w.dtype)):
             np.put(bound, moved, new)
+        if self._slopes_m is not None and np.ndim(self._slopes[0]):
+            for slope, new in zip(self._slopes,
+                                  self.grid.side_slopes(idx, self._slopes_m, w.dtype)):
+                np.put(slope, moved, new)
         self.w_hidden = w
         return moved
+
+    def side_slopes(self, m_star):
+        """Every weight's ``grid.side_slopes`` for ``m_star``, kept by the layer.
+
+        Built when ``m_star`` differs from the last call's (once per training
+        phase) and patched by ``set_hidden`` where a level changes, so a step
+        gathers no slope. Scalars on a grid of equal widths.
+        """
+        if m_star != self._slopes_m:
+            self._slopes = None  # freed before the new ones are built
+            self._slopes = self.grid.side_slopes(self.level_idx, m_star, self.w_hidden.dtype)
+            self._slopes_m = m_star
+        return self._slopes
 
     def bind_tile(self, tile):
         if tile.shape != self.w_hidden.shape:

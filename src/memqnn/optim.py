@@ -7,11 +7,14 @@ quantized level is scaled by the grid's plasticity factor, which is what makes
 well-settled synapses progressively harder to dislodge. Updates toward the
 level, and all batch-norm updates, are applied at full strength.
 
-Only the away-branch weights pay for the plasticity factor: the update finds
-them in one pass over ``u * (w_hidden - w_quant)`` and evaluates the factor on
-that subset alone. The layer then re-projects only the weights that left
-their level (``DenseLayer.set_hidden``), so a step costs a few passes over
-the weights plus work proportional to the damped updates and level flips.
+The factor is evaluated on every weight in a few in-place passes, with no
+gather or scatter: the away mask multiplies the tanh argument, so an update
+toward the level gets a factor of exactly 1, and each weight's side slopes
+(``2 m* / width``) come from its layer (``DenseLayer.side_slopes``), which
+keeps them current instead of gathering them every step. The layer then
+re-projects only the weights that left their level (``DenseLayer.set_hidden``),
+so a step costs a fixed number of passes over the weights plus work
+proportional to the level flips.
 """
 
 from __future__ import annotations
@@ -68,44 +71,55 @@ class Adam:
         return out
 
     def state_dict(self):
-        state = {"t": np.asarray(self.t),
-                 "betas_eps": np.asarray([self.beta1, self.beta2, self.eps])}
+        """Step counter and moment slots; the hyperparameters stay with the caller."""
+        state = {"t": np.asarray(self.t)}
         for name, (m, v) in self.slots.items():
             state[f"m.{name}"] = m
             state[f"v.{name}"] = v
         return state
 
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        self.beta1, self.beta2, self.eps = (float(x) for x in state["betas_eps"])
-        self.slots = {}
+    def load_state_dict(self, state, shapes):
+        """Install a ``state_dict``; ``shapes`` maps each parameter name to its shape.
+
+        A slot whose name is not in ``shapes``, or whose moments have another
+        shape, raises ``ValueError``. Any other key (``betas_eps`` in older
+        checkpoints) is ignored: the constructor's hyperparameters hold.
+        """
+        t = int(state["t"])
+        slots = {}
         for key, value in state.items():
             if key.startswith("m."):
                 name = key[2:]
-                self.slots[name] = (np.array(value), np.array(state[f"v.{name}"]))
+                m, v = np.array(value), np.array(state[f"v.{name}"])
+                if name not in shapes or not m.shape == v.shape == tuple(shapes[name]):
+                    raise ValueError(f"adam slot {name!r} of shape {m.shape}/{v.shape} fits "
+                                     f"no parameter (shape {shapes.get(name)})")
+                slots[name] = (m, v)
+        self.t, self.slots = t, slots
 
 
-def metaplastic_update(w_hidden, w_quant, u, grid: QuantGrid, m_star, lr, level_idx=None):
+def metaplastic_update(w_hidden, w_quant, u, grid: QuantGrid, m_star, lr, level_idx=None,
+                       slopes=None):
     """One hidden-weight update step; returns the new, clipped hidden weights.
 
     Elementwise rule: where ``u * (w_hidden - w_quant) < 0`` the step would
     carry the hidden weight away from its level, so it is scaled by the
     plasticity factor evaluated at the current state; everywhere else (the
     equality case included) the plain step applies. ``w_quant`` must be the
-    current projection of ``w_hidden`` (and ``level_idx``, when given, its
-    level index). The plasticity factor is evaluated for the away-branch
-    weights only, so a toward step costs no transcendental function.
+    current projection of ``w_hidden``, and ``level_idx`` its level index or
+    ``slopes`` its ``grid.side_slopes`` for ``m_star`` (either is derived
+    when neither is given). The factor is evaluated on every weight, and is
+    exactly 1 off the away branch.
     """
     w = np.asarray(w_hidden)
     if m_star == 0.0:
         return grid.clip_hidden(w - lr * u)
     w, w_quant, u = np.broadcast_arrays(w, w_quant, u)
+    scale = grid.plasticity(w, m_star, level_idx, w_quant, slopes, u)
     step = np.asarray(lr * u)
-    step = step.astype(np.result_type(step, w), order="C", copy=False)
-    away = np.flatnonzero(u * (w - w_quant) < 0.0)
-    idx = None if level_idx is None else np.take(np.broadcast_to(level_idx, w.shape), away)
-    scale = grid.plasticity(np.take(w, away), m_star, idx, np.take(w_quant, away))
-    step.reshape(-1)[away] *= scale.astype(w.dtype, copy=False)  # C order: a view
+    step = step.astype(np.result_type(step, w), copy=False)
+    step *= scale.astype(w.dtype, copy=False)
+    del scale
     np.subtract(w, step, out=step)
     return grid.clip_hidden(step)
 

@@ -95,7 +95,24 @@ class QuantGrid:
 
     # -- metaplastic function ----------------------------------------------
 
-    def plasticity(self, w_hidden, m_star, level_idx=None, w_quant=None):
+    def side_slopes(self, level_idx, m_star, dtype):
+        """Per weight, the plasticity slopes (upper, negated lower) of its level.
+
+        ``upper`` is ``2 * m_star / width`` of the interval above the level,
+        ``neg_lower`` minus that of the interval below it, both in ``dtype``;
+        beyond the outermost levels the outermost interval is reused. For a
+        signed distance ``d = w - w_quant``, ``max(d * upper, d * neg_lower)``
+        is ``|d|`` times the slope of the side that contains the weight, to
+        the bit. A grid whose widths are all bitwise equal returns two scalars.
+        """
+        slope = (2.0 * float(m_star) / self.widths).astype(dtype)
+        if self._uniform:
+            return slope[0], -slope[0]
+        upper = np.append(slope, slope[-1])  # level i: interval min(i, n - 2)
+        neg_lower = -np.insert(slope, 0, slope[0])  # level i: interval max(i - 1, 0)
+        return upper[level_idx], neg_lower[level_idx]
+
+    def plasticity(self, w_hidden, m_star, level_idx=None, w_quant=None, slopes=None, u=None):
         """Update-strength factor in (0, 1].
 
         Equals 1 when the hidden weight sits at the midpoint between two
@@ -104,33 +121,37 @@ class QuantGrid:
         on the side of the projected level that contains the hidden weight;
         beyond the outermost levels the outermost interval is reused, and a
         weight exactly on a level gives the same value for either neighbouring
-        interval, so the left one is taken.
+        interval. ``slopes`` are ``side_slopes(level_idx, m_star, dtype)``,
+        built here when not given. With an update direction ``u`` the factor
+        is exactly 1 wherever ``u * (w_hidden - w_quant) < 0`` does not hold,
+        i.e. where a step along ``-u`` is not carrying the weight away.
         """
         m = float(m_star)
         if not np.isfinite(m) or m < 0:
             raise ConfigError(f"m_star must be finite and >= 0, got {m}")
         w = np.asarray(w_hidden)
         dt = w.dtype if w.dtype.kind == "f" else np.dtype(np.float64)
-        if level_idx is None or w_quant is None:
+        if w_quant is None or (slopes is None and level_idx is None):
             level_idx, w_quant = self.project(w)
-        # 2*m/width per interval, gathered on the side that contains the weight:
-        # interval idx above the level, idx - 1 below it, clamped to the grid
-        inv_width = (2.0 * m / self.widths).astype(dt)
-        if self._uniform:
-            factor = inv_width[0]
-        else:
-            side = np.asarray(level_idx) - 1 + (w >= w_quant)
-            factor = np.take(inv_width, np.clip(side, 0, self.n - 2))
-        # 1 - tanh(min(factor * |w - w_quant| - m, 0))**2, evaluated in place.
-        # The argument is <= 0 for any weight inside the clipped hidden range
-        # (distance to the level is at most half an interval); the cap extends
-        # that continuously, keeping far-out weights fully plastic.
+        upper, neg_lower = self.side_slopes(level_idx, m, dt) if slopes is None else slopes
+        # 1 - tanh(away * min(slope * |w - w_quant| - m, 0))**2, evaluated in
+        # place. The argument is <= 0 for any weight inside the clipped hidden
+        # range (distance to the level is at most half an interval); the cap
+        # extends that continuously, keeping far-out weights fully plastic.
         out = np.empty(np.broadcast_shapes(w.shape, np.shape(w_quant)), dtype=dt)
         np.subtract(w, np.asarray(w_quant, dtype=dt), out=out)
-        np.abs(out, out=out)
-        out *= factor
+        away = None if u is None else u * out < 0.0
+        if self._uniform:
+            np.abs(out, out=out)
+            out *= upper
+        else:
+            below = out * neg_lower
+            out *= upper
+            np.maximum(out, below, out=out)
         out -= dt.type(m)
         np.minimum(out, dt.type(0), out=out)
+        if away is not None:
+            out *= away
         np.tanh(out, out=out)
         out *= out
         np.subtract(1.0, out, out=out)

@@ -128,8 +128,8 @@ class CrossbarTile:
         for cells, targets in zip((self.plus, self.minus), encode_levels(k)):
             changed = np.take(cells.level, pairs) != targets
             ops += cells.program(targets[changed], self.rng, where=pairs[changed])
-        np.put(self._w_eff, pairs,
-               self._decode(np.take(self.plus.g, pairs), np.take(self.minus.g, pairs)))
+        self._w_eff.reshape(-1)[pairs] = self._decode(np.take(self.plus.g, pairs),
+                                                      np.take(self.minus.g, pairs))
         return ops
 
     # -- analog compute --------------------------------------------------------

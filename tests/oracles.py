@@ -1,8 +1,10 @@
 """Plain full-matrix implementations of the consolidation step, kept as test oracles.
 
 These are the straightforward versions of what the package now does
-incrementally: the plasticity factor and the gated update evaluated on every
-weight, a full re-projection of the hidden weights (where the layer's
+incrementally or branch-free: the plasticity factor with each weight's side
+width chosen by ``np.where`` and the update gated the same way (where the
+package takes the slopes its layers keep and multiplies the tanh argument by
+the away mask), a full re-projection of the hidden weights (where the layer's
 ``set_hidden`` re-projects only the weights that left their level), the Adam
 directions with one temporary per operation, a crossbar write that encodes and
 compares every pair, cell programming through boolean masks, and the per-cell
@@ -143,7 +145,9 @@ def reference_train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
 
     The layers' levels come from ``reference_projection``, never from
     ``DenseLayer.set_hidden``; their projection intervals are rebuilt from
-    those levels so the shipped code can take over from here.
+    those levels and their plasticity slopes dropped (the next
+    ``DenseLayer.side_slopes`` call rebuilds them), so the shipped code can
+    take over from here.
     """
     loss, grads, _ = mlp.loss_grads(x, y)
     u = reference_adam_directions(adam, grads)
@@ -154,6 +158,7 @@ def reference_train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
         layer.level_idx, layer.w_quant = reference_projection(mlp.grid, w_new)
         layer.w_hidden = w_new
         layer._bounds = mlp.grid.level_bounds(layer.level_idx, w_new.dtype)
+        layer._slopes_m = layer._slopes = None
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)
         if layer.tile is not None:

@@ -119,6 +119,62 @@ class TestUpdateOracle:
                               reference_metaplastic_update(w, wq, u, grid, 3.0, 0.05, idx))
 
 
+def rebuilt_slopes(grid, level_idx, m_star, dtype):
+    """(upper, negated lower) slope per weight, straight from the interval widths."""
+    slope = (2.0 * m_star / grid.widths).astype(dtype)
+    idx = np.asarray(level_idx)
+    return (slope[np.minimum(idx, grid.n - 2)], -slope[np.maximum(idx - 1, 0)])
+
+
+class TestLayerDrivenUpdate:
+    """The dense update fed by the slopes a layer keeps, over steps that flip levels."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=grids(), seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
+           m1=st.floats(0.1, 12.0), m2=st.floats(0.1, 12.0),
+           lr=st.sampled_from([1e-3, 0.05, 2.0]))
+    def test_steps_bit_equal_reference(self, grid, seed, dtype, m1, m2, lr):
+        rng = np.random.default_rng(seed)
+        layer = DenseLayer(grid.clip_hidden(hidden_weights(rng, grid, dtype, (9, 7))), grid)
+        flips = 0
+        for m_star in (0.0, 0.0, m1, m1, m1, m2, m2):
+            u = direction(rng, dtype, layer.shape)  # 10% zeros: the equality case
+            slopes = layer.side_slopes(m_star)
+            assert layer.side_slopes(m_star) is slopes  # kept, not rebuilt, for one m*
+            got = metaplastic_update(layer.w_hidden, layer.w_quant, u, grid, m_star, lr,
+                                     slopes=slopes)
+            want = reference_metaplastic_update(layer.w_hidden, layer.w_quant, u, grid,
+                                                m_star, lr, layer.level_idx)
+            assert same_bytes(got, want)
+            # land some weights exactly on midpoints (ties), levels and the clip ends
+            ties = hidden_weights(rng, grid, dtype, layer.shape, spread=0.0)
+            pick = rng.random(layer.shape) < 0.2
+            got[pick] = ties[pick]
+            flips += layer.set_hidden(got).size
+            # the slopes set_hidden patched equal slopes rebuilt from the new levels
+            patched = layer.side_slopes(m_star)
+            assert patched is slopes
+            for a, b in zip(patched, rebuilt_slopes(grid, layer.level_idx, m_star, dtype)):
+                assert same_bytes(np.broadcast_to(a, layer.shape), b)
+        assert flips > 0
+
+    def test_uniform_grid_keeps_scalar_slopes(self):
+        grid = uniform_grid(17, -1.5, 1.5)
+        layer = DenseLayer(np.linspace(-1.6, 1.6, 12, dtype=np.float32).reshape(3, 4), grid)
+        upper, neg_lower = layer.side_slopes(3.0)
+        assert np.ndim(upper) == np.ndim(neg_lower) == 0
+        assert upper == np.float32(32.0) and neg_lower == -upper  # 2 * 3 / 0.1875
+
+    def test_slopes_rebuilt_when_m_star_changes(self):
+        grid = derive_grid(default_levelspec()).grid
+        layer = DenseLayer(np.linspace(-2, 2, 12).reshape(3, 4), grid)
+        first = layer.side_slopes(3.0)
+        second = layer.side_slopes(5.0)
+        assert second is not first
+        for a, b in zip(second, rebuilt_slopes(grid, layer.level_idx, 5.0, np.float64)):
+            assert same_bytes(a, b)
+
+
 class TestIncrementalProjection:
     @settings(max_examples=60, deadline=None)
     @given(grid=grids(), seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ class TestConfig:
     def test_validation_failures(self, bad):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad).validate()
+
+    @pytest.mark.parametrize("grid_source", ["uniform", "device"])
+    def test_m_star_slope_must_be_finite(self, grid_source):
+        # 2 * m* / (narrowest width) is about 1e301 here: finite in float64 only
+        for where in ("m_star", "task"):
+            def cfg(m, dtype):
+                task_m = m if where == "task" else None
+                return ExperimentConfig(grid_source=grid_source, dtype=dtype,
+                                        tasks=[TaskSpec("a", 1), TaskSpec("b", 1, m_star=task_m)],
+                                        **({"m_star": m} if where == "m_star" else {}))
+            cfg(1e300, "float64").validate()
+            for m, dtype in ((1e300, "float32"), (1e308, "float64")):
+                with pytest.raises(ConfigError, match="overflows the plasticity slope"):
+                    cfg(m, dtype).validate()
 
     def test_level_spec_from_rows(self):
         cfg = ExperimentConfig(device_rows=[[k, 2.0 + 3 * k, 0.1] for k in range(9)])
@@ -292,6 +307,8 @@ class TestCheckpoint:
                                "tile0.plus.g shape (24, 64)"),
             "nan_weight.npz": ({**saved, "layer1.w_hidden": saved["layer1.w_hidden"] * np.nan},
                                "must be finite"),
+            "adam_slot.npz": ({**saved, "adam.m.w0": saved["adam.m.w0"][:3]},
+                              "adam slot 'w0' of shape (3, 24)"),
         }
         for name, (state, _) in damaged.items():
             np.savez(tmp_path / name, **state)
@@ -318,9 +335,28 @@ class TestCheckpoint:
         with np.load(first) as a, np.load(tmp_path / "again.npz") as b:
             assert sorted(a.files) == sorted(b.files)
             assert {"bnsnap.synthB.1.var", "epoch", "cum_ops"} <= set(a.files)
-            assert not {"dims", "grid_levels", "layer0.level_idx"} & set(a.files)
+            assert not {"dims", "grid_levels", "layer0.level_idx", "adam.betas_eps"} & set(a.files)
             for name in a.files:
                 x, y = a[name], b[name]
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+    def test_compressed_checkpoint_restores(self, synth_data_dir, tmp_path):
+        cfg = synth_config(synth_data_dir, tmp_path / "cz", weight_source="crossbar",
+                           grid_source="device", tasks=[TaskSpec("synthA", 1)],
+                           pretrain_epochs=0)
+        first = run_sequential(cfg).out_dir / "checkpoint.npz"
+        with zipfile.ZipFile(first) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+        # as written before the checkpoint went uncompressed, Adam betas included
+        with np.load(first) as z:
+            original = {k: z[k] for k in z.files}
+        np.savez_compressed(tmp_path / "old.npz", **original,
+                            **{"adam.betas_eps": np.asarray([0.5, 0.5, 1.0])})
+        save_checkpoint(tmp_path / "again.npz", *restore_run(tmp_path / "old.npz"))
+        with np.load(tmp_path / "again.npz") as b:
+            assert sorted(b.files) == sorted(original)
+            for name, x in original.items():
+                y = b[name]
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
     def test_version_gate(self, synth_data_dir, tmp_path):
@@ -353,6 +389,11 @@ class TestSweep:
     def test_sweep_values_checked_first(self, synth_data_dir, tmp_path, values):
         with pytest.raises(ConfigError, match="finite and >= 0"):
             run_sweep(synth_config(synth_data_dir, tmp_path / "v"), values)
+        assert not (tmp_path / "v").exists()
+
+    def test_sweep_slopes_checked_first(self, synth_data_dir, tmp_path):
+        with pytest.raises(ConfigError, match="m_star 1e\\+300 overflows"):
+            run_sweep(synth_config(synth_data_dir, tmp_path / "v"), [0.0, 1e300])
         assert not (tmp_path / "v").exists()
 
     def test_sweep_run_names_unique(self, synth_data_dir, tmp_path):
@@ -504,7 +545,9 @@ class TestCli:
                             (lambda d: d.update(adam_eps=-1.0), "adam_eps"),
                             (lambda d: d.update(adam_eps=0.0), "adam_eps"),
                             (lambda d: d["tasks"][1].update(m_star=-1.0), "m_star"),
-                            (lambda d: d["tasks"][1].update(m_star=float("nan")), "m_star")):
+                            (lambda d: d["tasks"][1].update(m_star=float("nan")), "m_star"),
+                            (lambda d: d.update(m_star=1e300), "m_star"),
+                            (lambda d: d["tasks"][1].update(m_star=1e300), "m_star")):
             payload = json.loads(cfg.to_json())
             edit(payload)
             texts.append((json.dumps(payload), named))

@@ -54,12 +54,25 @@ class TestAdam:
         rng = np.random.default_rng(1)
         for _ in range(5):
             adam.directions({"a": rng.normal(size=3), "b": rng.normal(size=(2, 2))})
-        clone = Adam()
-        clone.load_state_dict(adam.state_dict())
+        assert "betas_eps" not in adam.state_dict()  # the hyperparameters are the caller's
+        clone = Adam(beta1=0.8, beta2=0.95, eps=1e-7)
+        clone.load_state_dict(adam.state_dict(), {"a": (3,), "b": (2, 2)})
         g = {"a": rng.normal(size=3), "b": rng.normal(size=(2, 2))}
         u1 = adam.directions({k: v.copy() for k, v in g.items()})
         u2 = clone.directions({k: v.copy() for k, v in g.items()})
         assert np.array_equal(u1["a"], u2["a"]) and np.array_equal(u1["b"], u2["b"])
+
+    @pytest.mark.parametrize("shapes", [{"a": (3,)}, {"a": (3,), "b": (2, 3)}])
+    def test_load_checks_slot_shapes(self, shapes):
+        adam = Adam()
+        adam.directions({"a": np.ones(3), "b": np.ones((2, 2))})
+        state = {**adam.state_dict(), "betas_eps": np.asarray([0.5, 0.5, 1.0])}
+        clone = Adam()
+        with pytest.raises(ValueError, match="'b'"):
+            clone.load_state_dict(state, shapes)
+        assert clone.t == 0 and clone.slots == {}  # refused whole
+        clone.load_state_dict(state, {"a": (3,), "b": (2, 2)})  # betas_eps is ignored
+        assert (clone.beta1, clone.beta2, clone.eps) == (0.9, 0.999, 1e-8)
 
 
 class TestMetaplasticUpdate:
