@@ -356,8 +356,9 @@ def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     u = adam.directions(grads)
     ops = 0
     for i, layer in enumerate(mlp.layers):
+        slopes = layer.side_slopes(m_star) if m_star else None  # m*=0 reads no slope
         w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"], mlp.grid,
-                                   m_star, lr, slopes=layer.side_slopes(m_star))
+                                   m_star, lr, slopes=slopes)
         moved = layer.set_hidden(w_new)
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)

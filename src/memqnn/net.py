@@ -9,6 +9,10 @@ forward map is piecewise constant in the hidden weights.
 Layer stack for dims (d0, d1, ..., dk): affine -> batch norm -> relu for every
 hidden layer, a bare affine for the output scores. No biases; the batch-norm
 shift plays that role on hidden layers.
+
+The ReLU is an in-place ``fmax(z, 0)``, not ``np.where`` on the mask ``z > 0``:
+a masked select runs a branchy per-element loop, over ten times the cost on
+a random mask. Its mask is built only when a tape records it.
 """
 
 from __future__ import annotations
@@ -64,14 +68,21 @@ class BatchNorm:
         if train:
             mu = x.mean(axis=0)
             var = x.var(axis=0)
-            xhat = (x - mu) / np.sqrt(var + self.eps)
+            xhat = x - mu
+            xhat /= np.sqrt(var + self.eps)
             n = x.shape[0]
             unbiased = var * (n / max(n - 1, 1))
             self.running_mean += self.momentum * (mu - self.running_mean)
             self.running_var += self.momentum * (unbiased - self.running_var)
-            return self.gamma * xhat + self.beta, (xhat, var)
-        xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
-        return self.gamma * xhat + self.beta, None
+            y = self.gamma * xhat
+            y += self.beta
+            return y, (xhat, var)
+        # one new array, the operations in the order of gamma * xhat + beta
+        y = x - self.running_mean
+        y /= np.sqrt(self.running_var + self.eps)
+        y *= self.gamma
+        y += self.beta
+        return y, None
 
     def backward(self, dy, cache):
         """Gradients through the minibatch statistics; returns (dx, dgamma, dbeta)."""
@@ -218,11 +229,11 @@ class MLP:
                 a = z
                 continue
             zb, cache = layer.bn.forward(z, train)
-            mask = zb > 0
             if tape is not None:
                 tape.bn_caches.append(cache)
-                tape.relu_masks.append(mask)
-            a = np.where(mask, zb, 0.0)
+                tape.relu_masks.append(zb > 0)
+            a = np.fmax(zb, 0.0, out=zb)  # NaN -> 0, as a masked select gives
+            a += 0.0  # the -0.0 fmax may keep -> +0.0; every other value stays
         return a
 
     def forward_tape(self, x):

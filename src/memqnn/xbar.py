@@ -82,8 +82,9 @@ class CrossbarTile:
     regardless of what the surrounding training loop does. Its only state is
     its cells: which pairs to write is the caller's to say. The decoded
     weights are built with the tile (pristine cells decode to 0), decoded
-    afresh on ``load_state_dict`` and patched in place for the pairs
-    ``write_levels`` visits: conductances only change when a cell is pulsed.
+    afresh on ``load_state_dict`` and on a write of every pair, and patched
+    in place for the pairs a sparse ``write_levels`` visits: conductances
+    only change when a cell is pulsed.
     """
 
     def __init__(self, rows, cols, dgrid: DeviceGrid, rng,
@@ -128,8 +129,11 @@ class CrossbarTile:
         for cells, targets in zip((self.plus, self.minus), encode_levels(k)):
             changed = np.take(cells.level, pairs) != targets
             ops += cells.program(targets[changed], self.rng, where=pairs[changed])
-        self._w_eff.reshape(-1)[pairs] = self._decode(np.take(self.plus.g, pairs),
-                                                      np.take(self.minus.g, pairs))
+        if where is None:
+            self._w_eff[...] = self._decode(self.plus.g, self.minus.g)
+        else:
+            self._w_eff.reshape(-1)[pairs] = self._decode(np.take(self.plus.g, pairs),
+                                                          np.take(self.minus.g, pairs))
         return ops
 
     # -- analog compute --------------------------------------------------------

@@ -7,9 +7,10 @@ package takes the slopes its layers keep and multiplies the tanh argument by
 the away mask), a full re-projection of the hidden weights (where the layer's
 ``set_hidden`` re-projects only the weights that left their level), the Adam
 directions with one temporary per operation, a crossbar write that encodes and
-compares every pair, cell programming through boolean masks, and the per-cell
-dump formatted from numpy scalars. The shipped code must reproduce them bit
-for bit.
+compares every pair, cell programming through boolean masks, the per-cell
+dump formatted from numpy scalars, and the forward pass with its ReLU as a
+masked ``np.where`` and its batch norm from out-of-place temporaries. The
+shipped code must reproduce them bit for bit.
 """
 
 import warnings
@@ -179,3 +180,42 @@ def reference_dump_tiles_tsv(path, tiles, layer_names=None):
                 rows, cols = np.unravel_index(np.arange(lv.size), tile.shape)
                 for r, c, l, gv, o in zip(rows, cols, lv, g, ops):
                     f.write(f"{name}\t{r}\t{c}\t{side}\t{l}\t{gv:.6f}\t{o}\n")
+
+
+def reference_bn_forward(bn, x, train):
+    """BatchNorm.forward from out-of-place temporaries."""
+    if train:
+        mu = x.mean(axis=0)
+        var = x.var(axis=0)
+        xhat = (x - mu) / np.sqrt(var + bn.eps)
+        n = x.shape[0]
+        unbiased = var * (n / max(n - 1, 1))
+        bn.running_mean += bn.momentum * (mu - bn.running_mean)
+        bn.running_var += bn.momentum * (unbiased - bn.running_var)
+        return bn.gamma * xhat + bn.beta, (xhat, var)
+    xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+    return bn.gamma * xhat + bn.beta, None
+
+
+def reference_forward(mlp, x, train=False, tape=None):
+    """MLP.forward with the ReLU as a select on the positivity mask.
+
+    Same signature as the method, so it can stand in for ``MLP.forward``.
+    """
+    a = np.asarray(x, dtype=mlp.dtype)
+    if a.ndim != 2 or a.shape[1] != mlp.dims[0]:
+        raise ValueError(f"expected input of shape (batch, {mlp.dims[0]}), got {a.shape}")
+    for layer in mlp.layers:
+        if tape is not None:
+            tape.inputs.append(a)
+        z = layer.matmul_forward(a)
+        if layer.bn is None:
+            a = z
+            continue
+        zb, cache = reference_bn_forward(layer.bn, z, train)
+        mask = zb > 0
+        if tape is not None:
+            tape.bn_caches.append(cache)
+            tape.relu_masks.append(mask)
+        a = np.where(mask, zb, 0.0)
+    return a

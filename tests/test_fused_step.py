@@ -1,4 +1,4 @@
-"""The fused consolidation step against its full-matrix oracles (tests/oracles.py).
+"""The fused consolidation step and the forward pass against their oracles (tests/oracles.py).
 
 Every comparison is on bytes: values, dtype and shape, so a -0.0 for a 0.0
 or a changed RNG draw order fails as loudly as a wrong level.
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from memqnn import harness
 from memqnn.data import TaskSpec
 from memqnn.device import CellArray, LevelSpec, N_LEVELS, default_levelspec
-from memqnn.net import DenseLayer
+from memqnn.net import MLP, DenseLayer, ForwardTape
 from memqnn.optim import Adam, metaplastic_update
 from memqnn.quantgrid import QuantGrid, uniform_grid
 from memqnn.xbar import HALF_SPAN, CrossbarTile, derive_grid, dump_tiles_tsv, encode_levels
@@ -22,9 +22,11 @@ from memqnn.xbar import HALF_SPAN, CrossbarTile, derive_grid, dump_tiles_tsv, en
 from conftest import uniform_mlp
 from oracles import (
     reference_adam_directions,
+    reference_bn_forward,
     reference_decode,
     reference_dump_tiles_tsv,
     reference_encode_levels,
+    reference_forward,
     reference_metaplastic_update,
     reference_plasticity,
     reference_program,
@@ -164,6 +166,22 @@ class TestLayerDrivenUpdate:
         upper, neg_lower = layer.side_slopes(3.0)
         assert np.ndim(upper) == np.ndim(neg_lower) == 0
         assert upper == np.float32(32.0) and neg_lower == -upper  # 2 * 3 / 0.1875
+
+    def test_m_star_zero_step_builds_no_slopes(self, monkeypatch):
+        """The m*=0 update reads no slopes, so a pretrain step builds none."""
+        grid = derive_grid(default_levelspec()).grid  # unequal widths: per-weight slopes
+        rng = np.random.default_rng(2)
+        mlp = uniform_mlp((6, 5, 3), grid, rng)
+
+        def refuse(layer, m_star):
+            raise AssertionError(f"side_slopes({m_star}) called")
+
+        monkeypatch.setattr(DenseLayer, "side_slopes", refuse)
+        adam = Adam()
+        for _ in range(3):
+            harness.train_step(mlp, adam, rng.normal(size=(8, 6)), rng.integers(0, 3, 8),
+                               0.0, 0.05)
+        assert all(layer._slopes is None for layer in mlp.layers)
 
     def test_slopes_rebuilt_when_m_star_changes(self):
         grid = derive_grid(default_levelspec()).grid
@@ -400,6 +418,105 @@ class TestAdamOracle:
             previous = list(got.values())
 
 
+ODD_WIDTHS = (1, 3, 7, 17, 33)  # no multiple of a SIMD width: the loops' scalar tails run
+
+
+def plant_specials(rng, bn, frac):
+    """Set some features' BN parameters or running stats so that their output
+    holds -0.0, NaN, +-inf or subnormals, in train or eval mode."""
+    tiny = np.finfo(bn.gamma.dtype).smallest_subnormal
+    for j in np.flatnonzero(rng.random(bn.gamma.size) < frac):
+        kind = rng.integers(8)
+        if kind == 0:    # -0.0 where xhat > 0
+            bn.gamma[j] = bn.beta[j] = -0.0
+        elif kind == 1:  # -0.0 where xhat < 0: in eval mode, every row
+            bn.gamma[j], bn.beta[j], bn.running_mean[j] = 0.0, -0.0, 1e30
+        elif kind in (2, 3, 4):
+            bn.beta[j] = (np.nan, np.inf, -np.inf)[kind - 2]
+        elif kind == 5:  # +-subnormal products
+            bn.gamma[j], bn.beta[j] = tiny * rng.integers(1, 6), 0.0
+        elif kind == 6:
+            bn.gamma[j], bn.beta[j] = 0.0, tiny * rng.choice([-1, 1])
+        else:            # NaN in eval mode
+            bn.running_mean[j] = np.nan
+
+
+def compare_forward(mlp, x, train, taped):
+    """Run the shipped and the reference forward from the same BN state; compare bytes."""
+    state, x_before = mlp.bn_state(), x.copy()
+    tapes = (ForwardTape(), ForwardTape()) if taped else (None, None)
+    with np.errstate(all="ignore"):  # the planted NaN and inf
+        got = mlp.forward(x, train, tapes[0])
+        got_state = mlp.bn_state()
+        mlp.set_bn_state(state)
+        want = reference_forward(mlp, x, train, tapes[1])
+    assert same_bytes(got, want)
+    assert same_bytes(x, x_before)
+    for a, b in zip(got_state, mlp.bn_state()):
+        assert all(same_bytes(u, v) for u, v in zip(a, b))
+    if taped:
+        ours, ref = tapes
+        for name in ("inputs", "relu_masks"):
+            assert len(getattr(ours, name)) == len(getattr(ref, name))
+            assert all(same_bytes(u, v) for u, v in zip(getattr(ours, name), getattr(ref, name)))
+        assert len(ours.bn_caches) == len(ref.bn_caches)
+        for a, b in zip(ours.bn_caches, ref.bn_caches):
+            assert (a is None) == (b is None) == (not train)
+            assert a is None or all(same_bytes(u, v) for u, v in zip(a, b))
+
+
+class TestForwardOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(dims=st.lists(st.sampled_from(ODD_WIDTHS), min_size=3, max_size=4),
+           batch=st.sampled_from(ODD_WIDTHS), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from(DTYPES), train=st.booleans(), taped=st.booleans(),
+           frac=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_forward_bit_equal(self, dims, batch, seed, dtype, train, taped, frac):
+        rng = np.random.default_rng(seed)
+        mlp = uniform_mlp(dims, uniform_grid(17, -1.5, 1.5), rng, dtype=dtype)
+        for layer in mlp.layers[:-1]:
+            bn = layer.bn
+            bn.gamma[:] = rng.uniform(0.5, 1.5, bn.gamma.size)
+            bn.beta[:] = rng.normal(0.0, 0.5, bn.beta.size)
+            bn.running_mean[:] = rng.normal(0.0, 1.0, bn.gamma.size)
+            bn.running_var[:] = rng.uniform(0.5, 4.0, bn.gamma.size)
+            plant_specials(rng, bn, frac)
+        x = rng.normal(size=(batch, dims[0])).astype(dtype)
+        compare_forward(mlp, x, train, taped)
+        # eval-mode batch norm on its own: a new output, the input left as it was
+        layer = mlp.layers[0]
+        z = layer.matmul_forward(x)
+        z_before = z.copy()
+        with np.errstate(all="ignore"):
+            y, cache = layer.bn.forward(z, False)
+            want = reference_bn_forward(layer.bn, z_before, False)[0]
+        assert cache is None and same_bytes(z, z_before)
+        assert not np.shares_memory(y, z)
+        assert same_bytes(y, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("planted", [-0.0, np.nan])
+    def test_relu_of_negative_zero_and_nan(self, dtype, train, planted):
+        """Every hidden BN output +-0.0 (-0.0 throughout in eval mode) or NaN: the ReLU
+        gives +0.0."""
+        for width in ODD_WIDTHS:
+            mlp = uniform_mlp((5, width, width, 3), uniform_grid(17, -1.5, 1.5),
+                              np.random.default_rng(width), dtype=dtype)
+            for bn in mlp._bns():
+                if np.isnan(planted):
+                    bn.beta[:] = np.nan
+                else:
+                    bn.gamma[:], bn.beta[:], bn.running_mean[:] = 0.0, -0.0, 1e30
+            x = np.random.default_rng(0).normal(size=(width, 5)).astype(dtype)
+            tape = ForwardTape()
+            with np.errstate(invalid="ignore"):
+                mlp.forward(x, train, tape)
+            for relu_out in tape.inputs[1:]:
+                assert not np.signbit(relu_out).any()
+            compare_forward(mlp, x, train, taped=True)
+
+
 # -- whole runs ------------------------------------------------------------------
 
 
@@ -426,6 +543,7 @@ def _run_digest(out_dir):
 def test_run_bytes_equal_reference_step(synth_data_dir, tmp_path, monkeypatch, mode, dtype):
     shipped = harness.run_sequential(_config(synth_data_dir, tmp_path / "ours", mode, dtype))
     monkeypatch.setattr(harness, "train_step", reference_train_step)
+    monkeypatch.setattr(MLP, "forward", reference_forward)  # training and evaluation
     reference = harness.run_sequential(_config(synth_data_dir, tmp_path / "ref", mode, dtype))
     assert shipped.cum_ops == reference.cum_ops
     ours, ref = _run_digest(shipped.out_dir), _run_digest(reference.out_dir)
