@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -329,22 +331,50 @@ def load_task_splits(config, parts=("train", "test")):
     return splits
 
 
+def _usable_cores():
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def evaluate(mlp, split, eval_batch=1000, bn_state=None):
     """Test accuracy in percent; crossbar-bound layers read back from tiles.
 
     ``bn_state`` temporarily swaps in a stored batch-norm state (the
     per-finished-task protocol); the live state is restored afterwards.
+
+    The batches run on ``k = min(usable cores, batches)`` threads: the
+    usable cores are the process's CPU affinity mask (``os.cpu_count()``
+    where there is none), and numpy's products release the GIL. The caller
+    takes batches ``0, k, 2k, ...`` and a pool of ``k - 1`` threads the
+    rest. An eval-mode forward changes nothing and each share counts its
+    correct labels as an int, so the accuracy is the same float as one
+    thread's. A tile with read noise draws from the shared ``device_rng`` in
+    every product; such a model keeps ``k = 1`` and the serial draw order.
+    A multi-threaded BLAS contends with these threads: run with one BLAS thread.
     """
+    starts = range(0, len(split), eval_batch)
+    noisy = any(layer.tile is not None and layer.tile.read_noise_sigma for layer in mlp.layers)
+    k = 1 if noisy else max(1, min(_usable_cores(), len(starts)))
+
+    def correct(share):
+        n = 0
+        for start in share:
+            logits = mlp.forward(split.images[start:start + eval_batch], train=False)
+            n += int((logits.argmax(axis=1) == split.labels[start:start + eval_batch]).sum())
+        return n
+
     live = mlp.bn_state() if bn_state is not None else None
     try:
         if bn_state is not None:
             mlp.set_bn_state(bn_state)
-        correct = 0
-        for start in range(0, len(split), eval_batch):
-            logits = mlp.forward(split.images[start:start + eval_batch], train=False)
-            correct += int((logits.argmax(axis=1)
-                            == split.labels[start:start + eval_batch]).sum())
-        return 100.0 * correct / len(split)
+        # threads start on submit, so k = 1 starts none; the with joins every one
+        with ThreadPoolExecutor(max(k - 1, 1)) as pool:
+            shares = [pool.submit(correct, starts[i::k]) for i in range(1, k)]
+            n = correct(starts[0::k])
+            n += sum(share.result() for share in shares)
+        return 100.0 * n / len(split)
     finally:
         if live is not None:
             mlp.set_bn_state(live)
@@ -356,9 +386,8 @@ def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     u = adam.directions(grads)
     ops = 0
     for i, layer in enumerate(mlp.layers):
-        slopes = layer.side_slopes(m_star) if m_star else None  # m*=0 reads no slope
         w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"], mlp.grid,
-                                   m_star, lr, slopes=slopes)
+                                   m_star, lr, slopes=layer.side_slopes(m_star))
         moved = layer.set_hidden(w_new)
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)

@@ -158,9 +158,12 @@ class DenseLayer:
 
         Built when ``m_star`` differs from the last call's (once per training
         phase) and patched by ``set_hidden`` where a level changes, so a step
-        gathers no slope. Scalars on a grid of equal widths.
+        gathers no slope. Scalars on a grid of equal widths. At ``m_star`` 0
+        the update reads no slope: the last phase's are freed and None returned.
         """
-        if m_star != self._slopes_m:
+        if not m_star:
+            self._slopes_m = self._slopes = None
+        elif m_star != self._slopes_m:
             self._slopes = None  # freed before the new ones are built
             self._slopes = self.grid.side_slopes(self.level_idx, m_star, self.w_hidden.dtype)
             self._slopes_m = m_star

@@ -8,9 +8,10 @@ the away mask), a full re-projection of the hidden weights (where the layer's
 ``set_hidden`` re-projects only the weights that left their level), the Adam
 directions with one temporary per operation, a crossbar write that encodes and
 compares every pair, cell programming through boolean masks, the per-cell
-dump formatted from numpy scalars, and the forward pass with its ReLU as a
-masked ``np.where`` and its batch norm from out-of-place temporaries. The
-shipped code must reproduce them bit for bit.
+dump formatted from numpy scalars, the forward pass with its ReLU as a
+masked ``np.where`` and its batch norm from out-of-place temporaries, and the
+evaluation pass as one serial loop over its batches. The shipped code must
+reproduce them bit for bit.
 """
 
 import warnings
@@ -219,3 +220,20 @@ def reference_forward(mlp, x, train=False, tape=None):
             tape.relu_masks.append(mask)
         a = np.where(mask, zb, 0.0)
     return a
+
+
+def reference_evaluate(mlp, split, eval_batch=1000, bn_state=None):
+    """harness.evaluate as one serial loop over the batches, on the calling thread."""
+    live = mlp.bn_state() if bn_state is not None else None
+    try:
+        if bn_state is not None:
+            mlp.set_bn_state(bn_state)
+        correct = 0
+        for start in range(0, len(split), eval_batch):
+            logits = mlp.forward(split.images[start:start + eval_batch], train=False)
+            correct += int((logits.argmax(axis=1)
+                            == split.labels[start:start + eval_batch]).sum())
+        return 100.0 * correct / len(split)
+    finally:
+        if live is not None:
+            mlp.set_bn_state(live)

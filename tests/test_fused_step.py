@@ -156,6 +156,9 @@ class TestLayerDrivenUpdate:
             # the slopes set_hidden patched equal slopes rebuilt from the new levels
             patched = layer.side_slopes(m_star)
             assert patched is slopes
+            if not m_star:
+                assert patched is None  # the m*=0 update reads none, so none are kept
+                continue
             for a, b in zip(patched, rebuilt_slopes(grid, layer.level_idx, m_star, dtype)):
                 assert same_bytes(np.broadcast_to(a, layer.shape), b)
         assert flips > 0
@@ -173,15 +176,28 @@ class TestLayerDrivenUpdate:
         rng = np.random.default_rng(2)
         mlp = uniform_mlp((6, 5, 3), grid, rng)
 
-        def refuse(layer, m_star):
-            raise AssertionError(f"side_slopes({m_star}) called")
+        def refuse(grid, level_idx, m_star, dtype):
+            raise AssertionError(f"side_slopes({m_star}) built")
 
-        monkeypatch.setattr(DenseLayer, "side_slopes", refuse)
+        monkeypatch.setattr(QuantGrid, "side_slopes", refuse)
         adam = Adam()
         for _ in range(3):
             harness.train_step(mlp, adam, rng.normal(size=(8, 6)), rng.integers(0, 3, 8),
                                0.0, 0.05)
         assert all(layer._slopes is None for layer in mlp.layers)
+
+    def test_m_star_zero_step_frees_slopes(self):
+        """An m*=0 phase after a consolidated one keeps no slopes to patch at each flip."""
+        grid = derive_grid(default_levelspec()).grid
+        rng = np.random.default_rng(2)
+        mlp = uniform_mlp((6, 5, 3), grid, rng)
+        adam = Adam()
+        for m_star in (3.0, 0.0):
+            harness.train_step(mlp, adam, rng.normal(size=(8, 6)), rng.integers(0, 3, 8),
+                               m_star, 0.05)
+            held = [layer._slopes is not None for layer in mlp.layers]
+            assert held == [bool(m_star)] * len(mlp.layers)
+        assert all(layer._slopes_m is None for layer in mlp.layers)
 
     def test_slopes_rebuilt_when_m_star_changes(self):
         grid = derive_grid(default_levelspec()).grid

@@ -162,6 +162,19 @@ class TestPlasticity:
         at_end = float(grid17.plasticity(1.5, 3.0))
         assert at_end == pytest.approx(1.0 - np.tanh(3.0) ** 2)
 
+    def test_two_level_grid_is_the_binarized_rule(self):
+        """For |w| <= 1 the grid -1, +1 gives the BNN rule 1 - tanh²(m·|w|) of
+        Laborieux et al. (Nature Communications 12, 2549, 2021)."""
+        grid = uniform_grid(2, -1, 1)
+        w = np.concatenate([np.linspace(-1.0, 1.0, 2001), [0.0, -0.0, 1.0, -1.0, 1e-300]])
+        for m in (0.5, 1.0, 1.3, 3.0, 10.0):
+            bnn = 1.0 - np.tanh(m * np.abs(w)) ** 2
+            assert np.abs(grid.plasticity(w, m) - bnn).max() <= 1e-15
+        # beyond |w| = 1 the grid measures the distance to the level, the BNN rule to 0
+        far = np.array([-1.5, 1.5])
+        assert np.all(grid.plasticity(far, 3.0) > 1.0 - np.tanh(3.0 * 1.5) ** 2)
+        assert grid.hidden_lo == -2.0 and grid.hidden_hi == 2.0
+
     def test_unequal_widths_per_side(self):
         # value at fixed absolute distance differs with the interval width
         g = QuantGrid([-1.0, 0.0, 3.0])
