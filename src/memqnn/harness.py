@@ -649,8 +649,14 @@ def read_ops_counts(source):
             path = path / "devices.tsv"
         if not path.exists():
             raise ConfigError(f"no device dump at {path}")
-        counts = np.loadtxt(path, delimiter="\t", skiprows=1, usecols=6, dtype=np.int64)
-        return np.atleast_1d(counts)
+        try:
+            counts = np.loadtxt(path, delimiter="\t", skiprows=1, usecols=6, dtype=np.int64,
+                                ndmin=1)
+        except ValueError as e:
+            raise ConfigError(f"{path}: unreadable op count column ({e})") from None
+        if (counts < 0).any():
+            raise ConfigError(f"{path}: negative op count {counts.min()}")
+        return counts
     return np.concatenate([tile.ops_per_cell() for tile in source])
 
 

@@ -191,19 +191,106 @@ class CrossbarTile:
         self._w_eff[...] = self._decode(self.plus.g, self.minus.g)
 
 
+# Cells per block of dump_tiles_tsv: a block's text matrix is about 1.5 MB,
+# so the dump's memory does not grow with the tile.
+DUMP_BLOCK = 32768
+
+
 def dump_tiles_tsv(path, tiles, layer_names=None):
-    """Columnar per-cell state dump: layer, row, col, side, level, g_uS, ops."""
+    """Columnar per-cell state dump: layer, row, col, side, level, g_uS, ops.
+
+    One tab-separated UTF-8 line per cell: plus cells of a tile before its
+    minus cells, each in row-major order. g_uS is the conductance as
+    ``f"{g:.6f}"`` writes it.
+
+    The lines are built ``DUMP_BLOCK`` cells at a time, as a byte matrix
+    with one row per cell. Each field fills its own span of 4-byte words,
+    padded with NUL bytes, and dropping every NUL leaves the text, which
+    goes out in one write. Each line starts with its newline (the header has
+    none; the file ends with one). Row and column text, with the layer name
+    and side, comes from per-tile tables; level and ops are signed decimal
+    digit groups. A layer name may not hold a NUL character.
+
+    g_uS is n = rint(g * 1e6), written as its units and six zero-padded
+    decimals. ``.6f`` rounds the exact binary value of g, half to even. The
+    product fl(g * 1e6) is within half an ulp of the exact one, under 1e-4
+    below 1e12, so rint gives the same n unless a half-integer lies that
+    close. Cells within 1e-3 of k + 0.5, negative (-0.0 too), not finite or
+    at 1e12 and above are written by ``.6f`` itself, into the same span.
+    """
     if layer_names is None:
         layer_names = [f"layer{i}" for i in range(len(tiles))]
-    with open(path, "w") as f:
-        f.write("layer\trow\tcol\tside\tlevel\tg_uS\tops\n")
-        for name, tile in zip(layer_names, tiles):
+    with open(path, "wb") as f:
+        f.write(b"layer\trow\tcol\tside\tlevel\tg_uS\tops")
+        for name, tile in zip(layer_names, tiles, strict=True):
+            if "\0" in f"{name}":
+                raise ValueError("a layer name cannot hold a NUL character")
+            rows = _words([f"\n{name}\t{r}\t" for r in range(tile.rows)])
             for side, cells in (("plus", tile.plus), ("minus", tile.minus)):
-                # row by row, from Python scalars: they format faster than
-                # numpy ones, to the same text
-                for r in range(tile.rows):
-                    f.writelines(
-                        f"{name}\t{r}\t{c}\t{side}\t{l}\t{gv:.6f}\t{o}\n"
-                        for c, (l, gv, o) in enumerate(zip(cells.level[r].tolist(),
-                                                           cells.g[r].tolist(),
-                                                           cells.ops[r].tolist())))
+                cols = _words([f"{c}\t{side}\t" for c in range(tile.cols)])
+                level, g, ops = (a.reshape(-1) for a in (cells.level, cells.g, cells.ops))
+                for start in range(0, level.size, DUMP_BLOCK):
+                    stop = min(start + DUMP_BLOCK, level.size)
+                    cut = slice(start, stop)
+                    r, c = np.divmod(np.arange(start, stop), tile.cols)
+                    block = np.concatenate((np.take(rows, r, axis=0), np.take(cols, c, axis=0),
+                                            _int_words(level[cut]), _g_words(g[cut]),
+                                            _int_words(ops[cut])), axis=1)
+                    text = block.astype("<u4", copy=False).view(np.uint8)
+                    f.write(text[text != 0])
+        f.write(b"\n")
+
+
+def _words(strings, width=None):
+    """UTF-8 strings -> NUL-padded rows of little-endian 4-byte words."""
+    data = [s.encode() for s in strings]
+    width = width or -(-max(map(len, data), default=1) // 4) * 4
+    return np.array(data, dtype=f"S{width}").view("<u4").reshape(len(data), width // 4)
+
+
+# Three digits in bytes 1..3 of a word, byte 0 left for a separator or sign:
+# 000..999 zero-padded, then 0..999 NUL-padded for a number's leading group.
+_GROUPS = _words([f"\0{i:03d}" for i in range(1000)]
+                 + ["\0" + str(i).rjust(3, "\0") for i in range(1000)]).reshape(-1)
+_DECIMALS_HI = _GROUPS[:1000] | ord(".")              # ".ddd"
+_DECIMALS_LO = _GROUPS[:1000] >> 8 | ord("\t") << 24  # "ddd\t"
+
+
+def _int_words(v, sep=0):
+    """Signed ints -> their decimal text as word columns, byte sep first."""
+    neg = v < 0
+    mag = v.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # modulo 2**64: |v|, int64's minimum too
+    cols = []
+    for k in range((len(str(int(mag.max()))) + 2) // 3):
+        high = mag // 1000
+        word = np.take(_GROUPS, mag - high * 1000 + (high == 0) * np.uint64(1000))
+        cols.append(word * (mag > 0) if k else word)
+        mag = high
+    if neg.any():
+        cols.append(np.where(neg, np.uint32(ord("-") << 8), np.uint32(0)))
+    cols[-1] |= np.uint32(sep)
+    return np.stack(cols[::-1], axis=1)
+
+
+def _g_words(g):
+    """Conductances -> word columns of a tab, their ``.6f`` text and a tab."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = g * 1e6
+        n = np.rint(x)
+        slow = ~(x >= 0) | (x >= 1e12) | np.signbit(g) | (np.abs(x - n) >= 0.5 - 1e-3)
+    n[slow] = 0
+    n = n.astype(np.int64)
+    units = n // 10**6
+    micro = n - units * 10**6
+    high = micro // 1000
+    words = np.concatenate((_int_words(units, ord("\t")),
+                            np.take(_DECIMALS_HI, high)[:, None],
+                            np.take(_DECIMALS_LO, micro - high * 1000)[:, None]), axis=1)
+    if slow.any():
+        exact = [f"\t{v:.6f}\t" for v in g[slow].tolist()]
+        pad = -(-max(map(len, exact)) // 4) - words.shape[1]
+        if pad > 0:
+            words = np.pad(words, ((0, 0), (pad, 0)))
+        words[slow] = _words(exact, 4 * words.shape[1])
+    return words

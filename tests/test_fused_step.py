@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memqnn import harness
+from memqnn import harness, xbar
 from memqnn.data import TaskSpec
 from memqnn.device import CellArray, LevelSpec, N_LEVELS, default_levelspec
 from memqnn.net import MLP, DenseLayer, ForwardTape
@@ -413,6 +413,90 @@ class TestWriteOracle:
         dump_tiles_tsv(tmp_path / "a.tsv", tiles, ["fc1", "fc2"])
         reference_dump_tiles_tsv(tmp_path / "b.tsv", tiles, ["fc1", "fc2"])
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+
+def _dump_tile(rows, cols, seed=0):
+    return CrossbarTile(rows, cols, derive_grid(default_levelspec()), np.random.default_rng(seed))
+
+
+def _install_cells(tile, side, **arrays):
+    state = tile.state_dict()
+    state.update({f"{side}.{name}": a for name, a in arrays.items()})
+    with np.errstate(invalid="ignore", over="ignore"):  # decoding inf - inf or huge values
+        tile.load_state_dict(state)
+
+
+class TestDumpOracle:
+    """dump_tiles_tsv's byte blocks against the row-by-row reference writer.
+
+    Small blocks put block edges mid-row and at the ends of a tile side.
+    """
+
+    @staticmethod
+    def assert_same_dump(out_dir, tiles, names=None):
+        dump_tiles_tsv(out_dir / "a.tsv", tiles, names)
+        reference_dump_tiles_tsv(out_dir / "b.tsv", tiles, names)
+        assert (out_dir / "a.tsv").read_bytes() == (out_dir / "b.tsv").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (11, 13), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("block", [1, 5, 7, xbar.DUMP_BLOCK])
+    def test_shapes_and_pristine_cells(self, tmp_path, monkeypatch, shape, block):
+        monkeypatch.setattr(xbar, "DUMP_BLOCK", block)
+        pristine = _dump_tile(*shape)  # level -1, g 0.0, ops 0
+        written = _dump_tile(*shape, seed=1)
+        written.write_levels(np.random.default_rng(2).integers(-8, 9, shape))
+        self.assert_same_dump(tmp_path, [pristine, written])
+        text = (tmp_path / "a.tsv").read_text()
+        assert ("\t-1\t0.000000\t0\n" in text) == (0 not in shape)
+
+    def test_op_counts_of_one_to_six_digits(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(xbar, "DUMP_BLOCK", 5)
+        ops = np.array([0, 1, 9, 10, 99, 100, 999, 1000, 12345, 99999, 100000, 999999])
+        tile = _dump_tile(3, 4)
+        _install_cells(tile, "plus", ops=ops.reshape(3, 4))
+        _install_cells(tile, "minus", ops=ops[::-1].reshape(3, 4))
+        self.assert_same_dump(tmp_path, [tile])
+
+    def test_conductance_ties_large_and_special(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(xbar, "DUMP_BLOCK", 6)
+        g = np.array([j / 128 for j in range(1, 14)]  # odd j: exact half-micro ties
+                     + [0.5e-6, 1.5e-6, 2.5e-6, 0.1 + 0.2, 5e-324, 999.9999995, 1000.0,
+                        123456.7890125, 999999.9999995, 1e6, 1e9, 2.0 ** 60, 1e300,
+                        9895339157.092323,  # rint(fl(g * 1e6)) is not .6f's digits
+                        -0.0, -3.25, np.nan, np.inf, -np.inf])
+        tile = _dump_tile(1, g.size)
+        _install_cells(tile, "plus", g=g[None, :])
+        _install_cells(tile, "minus", g=-g[::-1][None, :])
+        self.assert_same_dump(tmp_path, [tile])
+        text = (tmp_path / "a.tsv").read_text()
+        assert "\t0.007812\t" in text and "\t-0.000000\t" in text and "\tnan\t" in text
+
+    def test_names(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(xbar, "DUMP_BLOCK", 4)
+        tiles = [_dump_tile(3, 2, seed=i) for i in range(3)]
+        for i, tile in enumerate(tiles):
+            tile.write_levels(np.random.default_rng(10 + i).integers(-8, 9, (3, 2)))
+        self.assert_same_dump(tmp_path, tiles, ["fc1", "couche_cachée", "Δw"])
+        with pytest.raises(ValueError, match="NUL"):
+            dump_tiles_tsv(tmp_path / "c.tsv", tiles[:1], ["fc\0"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 5), cols=st.integers(1, 5), block=st.integers(1, 9),
+           data=st.data())
+    def test_random_cells(self, tmp_path_factory, rows, cols, block, data):
+        n = rows * cols
+        g = st.one_of(st.floats(0, 200), st.integers(0, 2 ** 17).map(lambda j: j / 128),
+                      st.floats(allow_nan=True, allow_infinity=True))
+        ops = st.one_of(st.integers(0, 10 ** 6), st.integers(-2 ** 63, 2 ** 63 - 1))
+        cells = {"level": st.integers(-128, 127), "g": g, "ops": ops}
+        tile = _dump_tile(rows, cols)
+        for side in ("plus", "minus"):
+            _install_cells(tile, side, **{
+                name: np.array(data.draw(st.lists(s, min_size=n, max_size=n))).reshape(rows, cols)
+                for name, s in cells.items()})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xbar, "DUMP_BLOCK", block)
+            self.assert_same_dump(tmp_path_factory.mktemp("dump"), [tile])
 
 
 class TestAdamOracle:

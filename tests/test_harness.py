@@ -439,6 +439,23 @@ class TestOpsHistogram:
         with pytest.raises(ConfigError):
             ops_histogram(tmp_path)
 
+    @pytest.mark.parametrize("last_row, named", [
+        ("fc1\t0\t1\tplus\t3\t1.00", "unreadable op count"),  # cut short by a kill
+        ("fc1\t0\t1\tplus\t3\t1.000000\tx\n", "unreadable op count"),
+        ("fc1\t0\t1\tplus\t3\t1.000000\t-4\n", "negative op count"),
+    ])
+    def test_damaged_dump_rejected(self, tmp_path, capsys, last_row, named):
+        path = tmp_path / "devices.tsv"
+        path.write_text("layer\trow\tcol\tside\tlevel\tg_uS\tops\n"
+                        "fc1\t0\t0\tplus\t3\t1.000000\t2\n" + last_row)
+        with pytest.raises(ConfigError, match=named) as info:
+            read_ops_counts(path)
+        assert str(path) in str(info.value)
+        assert cli_main(["hist-ops", "--run-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and str(path) in err
+        assert not (tmp_path / "ops_histogram.csv").exists()
+
 
 class TestCli:
     def test_train_and_eval(self, synth_data_dir, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,25 @@ class TestAccounting:
         assert len(lines) == 1 + 2 * 3 * 2
         first = lines[1].split("\t")
         assert first[0] == "fc1" and first[3] == "plus"
+
+    def test_dump_refuses_unmatched_names(self, dgrid, tmp_path):
+        tile = CrossbarTile(2, 2, dgrid, np.random.default_rng(0))
+        for names in (["fc1"], ["fc1", "fc2", "fc3"]):
+            with pytest.raises(ValueError):
+                dump_tiles_tsv(tmp_path / "devices.tsv", [tile, tile], names)
+
+    def test_dump_memory_is_one_block(self, dgrid, tmp_path):
+        # numpy reports its buffers to tracemalloc; the 784x512 dump is ~27 MB
+        tile = CrossbarTile(784, 512, dgrid, np.random.default_rng(0))
+        tile.write_levels(np.random.default_rng(1).integers(-8, 9, tile.shape))
+        path = tmp_path / "devices.tsv"
+        tracemalloc.start()
+        try:
+            dump_tiles_tsv(path, [tile])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6 < path.stat().st_size / 3
 
     def test_state_roundtrip(self, dgrid):
         tile = CrossbarTile(4, 4, dgrid, np.random.default_rng(0))
