@@ -1,7 +1,9 @@
 """Device-in-the-loop training and the programming-cost histogram.
 
 Runs a short sequential schedule in crossbar mode, then profiles how many
-program operations each cell absorbed. Hidden weights move every step, but a
+program operations each cell absorbed, as the run's checkpoint records them
+(``read_ops_counts`` and ``hist-ops`` read checkpoint.npz, not the
+devices.tsv export). Hidden weights move every step, but a
 cell is pulsed only when its quantized level changes, so the bulk of the array
 stays within a handful of operations: endurance is never the binding
 constraint.

@@ -94,7 +94,8 @@ class CellArray:
     program operations and is incremented on every program call regardless of
     whether the target equals the current state. Callers that want the
     program-only-on-change policy must select the cells they pass (see the
-    crossbar tile). The three state arrays are C-contiguous.
+    crossbar tile). The three state arrays are C-contiguous. ``load_state_dict``
+    refuses a negative op count and a conductance that is negative or not finite.
     """
 
     def __init__(self, shape, spec: LevelSpec, endurance=DEFAULT_ENDURANCE):
@@ -167,4 +168,9 @@ class CellArray:
         for name, a in arrays.items():
             if a.shape != self.shape:
                 raise ValueError(f"{prefix}{name} shape {a.shape} != cell array shape {self.shape}")
-        self.level, self.g, self.ops = arrays.values()
+        level, g, ops = arrays.values()
+        if (ops < 0).any():
+            raise ValueError(f"{prefix}ops holds a negative op count {ops.min()}")
+        if not ((g >= 0) & (g < np.inf)).all():  # NaN fails both; -0.0 and 0 pass
+            raise ValueError(f"{prefix}g holds a conductance that is negative or not finite")
+        self.level, self.g, self.ops = level, g, ops

@@ -10,7 +10,8 @@ from the directory alone. Outputs per run:
                      so identical runs produce byte-identical metrics)
     checkpoint.npz   hidden weights, BN and its per-task snapshots, optimizer,
                      RNG state and tile cells; no level (they derive from these)
-    devices.tsv      per-cell level/conductance/op-count dump (crossbar only)
+    devices.tsv      per-cell level/conductance/op-count text export (crossbar
+                     only); no command reads it, hist-ops reads the checkpoint
 
 Every epoch evaluates on every task's held-out test split, which is what
 makes the forgetting curves observable rather than just the final numbers.
@@ -250,7 +251,6 @@ class MetricsRecord:
     task: str
     accuracies: dict
     cum_ops: int
-    wall_seconds: float
 
 
 @dataclass
@@ -551,9 +551,7 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
             accs = {name: evaluate(mlp, splits["test"][name], config.eval_batch,
                                    bn_state=bn_snapshots.get(name))
                     for name in task_names}
-            rec = MetricsRecord(global_epoch, task.name, accs, cum_ops,
-                                time.perf_counter() - started)
-            records.append(rec)
+            records.append(MetricsRecord(global_epoch, task.name, accs, cum_ops))
             if config.weight_source == "crossbar":
                 hist = ops_histogram([l.tile for l in mlp.layers])
                 hist_rows += [f"{global_epoch}," + _HIST_ROW.format(*row) for row in hist]
@@ -642,21 +640,20 @@ def run_sweep(config: ExperimentConfig, m_values, log=None):
 
 
 def read_ops_counts(source):
-    """Per-cell op counts from a devices.tsv, a run dir, or a list of tiles."""
+    """Per-cell op counts of a list of tiles, or of a run directory's checkpoint.
+
+    Each tile gives its plus cells, then its minus cells, in row-major order.
+    A run directory's tiles come from ``restore_run`` on its checkpoint.npz:
+    a missing checkpoint, one that ``restore_run`` refuses (damaged cells
+    included) and an exact-mode one, which has no tiles, raise ConfigError.
+    """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        if path.is_dir():
-            path = path / "devices.tsv"
+        path = Path(source) / "checkpoint.npz"
         if not path.exists():
-            raise ConfigError(f"no device dump at {path}")
-        try:
-            counts = np.loadtxt(path, delimiter="\t", skiprows=1, usecols=6, dtype=np.int64,
-                                ndmin=1)
-        except ValueError as e:
-            raise ConfigError(f"{path}: unreadable op count column ({e})") from None
-        if (counts < 0).any():
-            raise ConfigError(f"{path}: negative op count {counts.min()}")
-        return counts
+            raise ConfigError(f"no checkpoint at {path}")
+        source = [layer.tile for layer in restore_run(path)[1].layers if layer.tile is not None]
+        if not source:
+            raise ConfigError(f"{path}: an exact-mode checkpoint has no tiles")
     return np.concatenate([tile.ops_per_cell() for tile in source])
 
 

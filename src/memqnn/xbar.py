@@ -196,12 +196,12 @@ class CrossbarTile:
 DUMP_BLOCK = 32768
 
 
-def dump_tiles_tsv(path, tiles, layer_names=None):
+def dump_tiles_tsv(path, tiles):
     """Columnar per-cell state dump: layer, row, col, side, level, g_uS, ops.
 
     One tab-separated UTF-8 line per cell: plus cells of a tile before its
-    minus cells, each in row-major order. g_uS is the conductance as
-    ``f"{g:.6f}"`` writes it.
+    minus cells, each in row-major order; tile i is ``layer{i}``. g_uS is
+    the conductance as ``f"{g:.6f}"`` writes it. The package never reads it back.
 
     The lines are built ``DUMP_BLOCK`` cells at a time, as a byte matrix
     with one row per cell. Each field fills its own span of 4-byte words,
@@ -209,7 +209,7 @@ def dump_tiles_tsv(path, tiles, layer_names=None):
     goes out in one write. Each line starts with its newline (the header has
     none; the file ends with one). Row and column text, with the layer name
     and side, comes from per-tile tables; level and ops are signed decimal
-    digit groups. A layer name may not hold a NUL character.
+    digit groups.
 
     g_uS is n = rint(g * 1e6), written as its units and six zero-padded
     decimals. ``.6f`` rounds the exact binary value of g, half to even. The
@@ -218,14 +218,10 @@ def dump_tiles_tsv(path, tiles, layer_names=None):
     close. Cells within 1e-3 of k + 0.5, negative (-0.0 too), not finite or
     at 1e12 and above are written by ``.6f`` itself, into the same span.
     """
-    if layer_names is None:
-        layer_names = [f"layer{i}" for i in range(len(tiles))]
     with open(path, "wb") as f:
         f.write(b"layer\trow\tcol\tside\tlevel\tg_uS\tops")
-        for name, tile in zip(layer_names, tiles, strict=True):
-            if "\0" in f"{name}":
-                raise ValueError("a layer name cannot hold a NUL character")
-            rows = _words([f"\n{name}\t{r}\t" for r in range(tile.rows)])
+        for i, tile in enumerate(tiles):
+            rows = _words([f"\nlayer{i}\t{r}\t" for r in range(tile.rows)])
             for side, cells in (("plus", tile.plus), ("minus", tile.minus)):
                 cols = _words([f"{c}\t{side}\t" for c in range(tile.cols)])
                 level, g, ops = (a.reshape(-1) for a in (cells.level, cells.g, cells.ops))

@@ -168,19 +168,17 @@ def reference_train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     return loss, ops
 
 
-def reference_dump_tiles_tsv(path, tiles, layer_names=None):
-    if layer_names is None:
-        layer_names = [f"layer{i}" for i in range(len(tiles))]
+def reference_dump_tiles_tsv(path, tiles):
     with open(path, "w") as f:
         f.write("layer\trow\tcol\tside\tlevel\tg_uS\tops\n")
-        for name, tile in zip(layer_names, tiles):
+        for i, tile in enumerate(tiles):
             for side, cells in (("plus", tile.plus), ("minus", tile.minus)):
                 lv = cells.level.ravel()
                 g = cells.g.ravel()
                 ops = cells.ops.ravel()
                 rows, cols = np.unravel_index(np.arange(lv.size), tile.shape)
                 for r, c, l, gv, o in zip(rows, cols, lv, g, ops):
-                    f.write(f"{name}\t{r}\t{c}\t{side}\t{l}\t{gv:.6f}\t{o}\n")
+                    f.write(f"layer{i}\t{r}\t{c}\t{side}\t{l}\t{gv:.6f}\t{o}\n")
 
 
 def reference_bn_forward(bn, x, train):

@@ -168,3 +168,18 @@ class TestState:
         assert np.array_equal(clone.g, cells.g)
         assert np.array_equal(clone.level, cells.level)
         assert np.array_equal(clone.ops, cells.ops)
+
+    def test_load_refuses_damaged_cells(self, spec):
+        cells = CellArray((2, 2), spec)
+        pristine = {k: v.copy() for k, v in cells.state_dict().items()}
+        cells.load_state_dict(pristine)  # g = 0, level -1, ops 0
+        for key, value in (("ops", -1), ("g", -1e-300), ("g", np.nan), ("g", np.inf),
+                           ("g", -np.inf)):
+            state = {k: v.copy() for k, v in pristine.items()}
+            state[key][1, 0] = value
+            with pytest.raises(ValueError, match=f"^{key} holds"):
+                cells.load_state_dict(state)
+            assert cells.g.tolist() == [[0.0, 0.0], [0.0, 0.0]] and not cells.ops.any()
+        pristine["g"][0, 1] = -0.0
+        cells.load_state_dict(pristine)
+        assert np.signbit(cells.g[0, 1])

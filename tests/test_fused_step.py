@@ -410,8 +410,8 @@ class TestWriteOracle:
                  for i in range(2)]
         for i, tile in enumerate(tiles):
             tile.write_levels(np.random.default_rng(10 + i).integers(-8, 9, (5, 3)))
-        dump_tiles_tsv(tmp_path / "a.tsv", tiles, ["fc1", "fc2"])
-        reference_dump_tiles_tsv(tmp_path / "b.tsv", tiles, ["fc1", "fc2"])
+        dump_tiles_tsv(tmp_path / "a.tsv", tiles)
+        reference_dump_tiles_tsv(tmp_path / "b.tsv", tiles)
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
 
@@ -420,10 +420,11 @@ def _dump_tile(rows, cols, seed=0):
 
 
 def _install_cells(tile, side, **arrays):
-    state = tile.state_dict()
-    state.update({f"{side}.{name}": a for name, a in arrays.items()})
-    with np.errstate(invalid="ignore", over="ignore"):  # decoding inf - inf or huge values
-        tile.load_state_dict(state)
+    # set directly: the dump writes whatever cells hold, and load_state_dict
+    # refuses the negative op counts and conductances these tests write
+    cells = getattr(tile, side)
+    for name, a in arrays.items():
+        setattr(cells, name, np.array(a, dtype=getattr(cells, name).dtype))
 
 
 class TestDumpOracle:
@@ -433,9 +434,9 @@ class TestDumpOracle:
     """
 
     @staticmethod
-    def assert_same_dump(out_dir, tiles, names=None):
-        dump_tiles_tsv(out_dir / "a.tsv", tiles, names)
-        reference_dump_tiles_tsv(out_dir / "b.tsv", tiles, names)
+    def assert_same_dump(out_dir, tiles):
+        dump_tiles_tsv(out_dir / "a.tsv", tiles)
+        reference_dump_tiles_tsv(out_dir / "b.tsv", tiles)
         assert (out_dir / "a.tsv").read_bytes() == (out_dir / "b.tsv").read_bytes()
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (11, 13), (0, 3), (3, 0)])
@@ -476,9 +477,9 @@ class TestDumpOracle:
         tiles = [_dump_tile(3, 2, seed=i) for i in range(3)]
         for i, tile in enumerate(tiles):
             tile.write_levels(np.random.default_rng(10 + i).integers(-8, 9, (3, 2)))
-        self.assert_same_dump(tmp_path, tiles, ["fc1", "couche_cachée", "Δw"])
-        with pytest.raises(ValueError, match="NUL"):
-            dump_tiles_tsv(tmp_path / "c.tsv", tiles[:1], ["fc\0"])
+        self.assert_same_dump(tmp_path, tiles)
+        names = [line.split("\t")[0] for line in (tmp_path / "a.tsv").read_text().splitlines()]
+        assert names == ["layer"] + [f"layer{i}" for i in range(3) for _ in range(12)]
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 5), cols=st.integers(1, 5), block=st.integers(1, 9),

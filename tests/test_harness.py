@@ -7,7 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from memqnn import cli
+from memqnn import cli, harness
 from memqnn.cli import build_parser, main as cli_main
 from memqnn.data import TaskSpec, load_dataset
 from memqnn.errors import ConfigError
@@ -24,6 +24,7 @@ from memqnn.harness import (
     save_checkpoint,
     write_ops_histogram_csv,
 )
+from memqnn.xbar import dump_tiles_tsv
 
 from conftest import make_synth_task, uniform_mlp, write_idx_images, write_idx_labels
 
@@ -435,26 +436,80 @@ class TestOpsHistogram:
         assert lines[0] == "ops_lo,ops_hi,pct_devices"
         assert lines[1].startswith("0,5,60")
 
-    def test_missing_dump_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            ops_histogram(tmp_path)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_hist_ops_reads_the_checkpoint(self, synth_data_dir, tmp_path, monkeypatch, dtype):
+        live = []
 
-    @pytest.mark.parametrize("last_row, named", [
-        ("fc1\t0\t1\tplus\t3\t1.00", "unreadable op count"),  # cut short by a kill
-        ("fc1\t0\t1\tplus\t3\t1.000000\tx\n", "unreadable op count"),
-        ("fc1\t0\t1\tplus\t3\t1.000000\t-4\n", "negative op count"),
-    ])
-    def test_damaged_dump_rejected(self, tmp_path, capsys, last_row, named):
-        path = tmp_path / "devices.tsv"
-        path.write_text("layer\trow\tcol\tside\tlevel\tg_uS\tops\n"
-                        "fc1\t0\t0\tplus\t3\t1.000000\t2\n" + last_row)
-        with pytest.raises(ConfigError, match=named) as info:
-            read_ops_counts(path)
-        assert str(path) in str(info.value)
+        def keep_tiles(path, tiles):  # the run's final tiles, on their way to devices.tsv
+            live.extend(tiles)
+            dump_tiles_tsv(path, tiles)
+
+        monkeypatch.setattr(harness, "dump_tiles_tsv", keep_tiles)
+        cfg = synth_config(synth_data_dir, tmp_path / "hc", weight_source="crossbar",
+                           grid_source="device", dtype=dtype)
+        res = run_sequential(cfg)
+        out = res.out_dir
+        written = (out / "ops_histogram.csv").read_bytes()
+        (out / "devices.tsv").unlink()
+        (out / "ops_histogram.csv").unlink()
+        assert cli_main(["hist-ops", "--run-dir", str(out)]) == 0
+        assert (out / "ops_histogram.csv").read_bytes() == written
+        counts = read_ops_counts(out)
+        assert len(live) == 3 and counts.dtype == np.int64
+        assert np.array_equal(counts, np.concatenate([t.ops_per_cell() for t in live]))
+        assert counts.sum() == res.cum_ops
+
+    def test_missing_dump_rejected(self, tmp_path, capsys):
+        path = tmp_path / "checkpoint.npz"  # a directory with no checkpoint
+        with pytest.raises(ConfigError, match=re.escape(f"no checkpoint at {path}")):
+            ops_histogram(tmp_path)
         assert cli_main(["hist-ops", "--run-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err and str(path) in err
+        assert capsys.readouterr().err == f"error: no checkpoint at {path}\n"
         assert not (tmp_path / "ops_histogram.csv").exists()
+
+    def test_exact_run_rejected(self, synth_data_dir, tmp_path, capsys):
+        cfg = synth_config(synth_data_dir, tmp_path / "he",
+                           tasks=[TaskSpec("synthA", 1)], pretrain_epochs=0)
+        out = run_sequential(cfg).out_dir
+        named = f"{out / 'checkpoint.npz'}: an exact-mode checkpoint has no tiles"
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            read_ops_counts(out)
+        assert cli_main(["hist-ops", "--run-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (out / "ops_histogram.csv").exists()
+
+    def test_damaged_cells_rejected(self, synth_data_dir, tmp_path, capsys):
+        cfg = synth_config(synth_data_dir, tmp_path / "hd", weight_source="crossbar",
+                           grid_source="device", tasks=[TaskSpec("synthA", 1)],
+                           pretrain_epochs=0)
+        saved = dict(np.load(run_sequential(cfg).out_dir / "checkpoint.npz"))
+
+        def edited(key, value):
+            a = saved[key].copy()
+            a.flat[5] = value
+            return {**saved, key: a}
+
+        bad_g = "holds a conductance that is negative or not finite"
+        for key, value, named in (
+                ("tile0.plus.ops", -4, "tile0.plus.ops holds a negative op count -4"),
+                ("tile0.plus.g", np.nan, f"tile0.plus.g {bad_g}"),
+                ("tile0.minus.g", -5.0, f"tile0.minus.g {bad_g}")):
+            run_dir = tmp_path / key
+            run_dir.mkdir()
+            path = run_dir / "checkpoint.npz"
+            np.savez(path, **edited(key, value))
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: {named}")):
+                read_ops_counts(run_dir)
+            for argv in (["hist-ops", "--run-dir", str(run_dir)],
+                         ["eval", "--checkpoint", str(path), "--data-dir", str(synth_data_dir)]):
+                assert cli_main(argv) == 2
+                assert capsys.readouterr().err == f"error: {path}: {named}\n"
+            assert not (run_dir / "ops_histogram.csv").exists()
+        # a conductance of -0.0 is a valid zero
+        run_dir = tmp_path / "negative_zero"
+        run_dir.mkdir()
+        np.savez(run_dir / "checkpoint.npz", **edited("tile0.minus.g", -0.0))
+        assert read_ops_counts(run_dir).sum() == int(saved["cum_ops"])
 
 
 class TestCli:

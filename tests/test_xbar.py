@@ -221,18 +221,12 @@ class TestAccounting:
         tile = CrossbarTile(3, 2, dgrid, np.random.default_rng(0))
         tile.write_levels(np.full((3, 2), -4))
         path = tmp_path / "devices.tsv"
-        dump_tiles_tsv(path, [tile], ["fc1"])
+        dump_tiles_tsv(path, [tile])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "layer\trow\tcol\tside\tlevel\tg_uS\tops"
         assert len(lines) == 1 + 2 * 3 * 2
         first = lines[1].split("\t")
-        assert first[0] == "fc1" and first[3] == "plus"
-
-    def test_dump_refuses_unmatched_names(self, dgrid, tmp_path):
-        tile = CrossbarTile(2, 2, dgrid, np.random.default_rng(0))
-        for names in (["fc1"], ["fc1", "fc2", "fc3"]):
-            with pytest.raises(ValueError):
-                dump_tiles_tsv(tmp_path / "devices.tsv", [tile, tile], names)
+        assert first[0] == "layer0" and first[3] == "plus"
 
     def test_dump_memory_is_one_block(self, dgrid, tmp_path):
         # numpy reports its buffers to tracemalloc; the 784x512 dump is ~27 MB
