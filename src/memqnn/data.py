@@ -1,9 +1,12 @@
 """MNIST / Fashion-MNIST ingestion (IDX format), batching and task specs.
 
 Files are the standard big-endian IDX payloads, optionally gzip-compressed
-(sniffed from the two magic bytes, not the filename). Nothing is ever
-downloaded implicitly; ``fetch_dataset`` exists for explicit retrieval and
-doubles as an offline checksum verifier for files already in place.
+(sniffed from the two magic bytes, not the filename). A split holds the
+payload's 8-bit pixels as read, a quarter of a float32 copy and an eighth of
+a float64 one; each batch is scaled to the run dtype when it is taken, with
+the bits a whole-split conversion would give. Nothing is ever downloaded
+implicitly; ``fetch_dataset`` exists for explicit retrieval and doubles as
+an offline checksum verifier for files already in place.
 """
 
 from __future__ import annotations
@@ -76,14 +79,26 @@ DATASETS = {
 
 @dataclass
 class DatasetSplit:
-    """Flattened images scaled to [0, 1] plus integer class labels."""
+    """Flattened 8-bit images plus integer class labels.
 
-    images: np.ndarray  # (N, rows*cols)
+    ``pixels`` holds the raw ``uint8`` values and ``rows`` scales the rows a
+    batch takes to [0, 1] in ``dtype``; a row gets the same bits in any batch.
+    """
+
+    pixels: np.ndarray  # (N, rows*cols) uint8
     labels: np.ndarray  # (N,)
     name: str = ""
+    dtype: np.dtype = np.dtype(np.float32)
+
+    def __post_init__(self):
+        self.dtype = np.dtype(self.dtype)
 
     def __len__(self):
-        return self.images.shape[0]
+        return self.pixels.shape[0]
+
+    def rows(self, index):
+        """Rows ``index`` (a slice, index array or mask) as ``pixels[index]`` / 255 in ``dtype``."""
+        return self.pixels[index].astype(self.dtype) / self.dtype.type(255)
 
 
 @dataclass(frozen=True)
@@ -141,22 +156,24 @@ def _parse_idx(raw, expect_magic, path):
 def load_idx(images_path, labels_path, name="", dtype=np.float32):
     """Parse an images/labels IDX pair into a DatasetSplit.
 
-    Pixels are scaled by 1/255; no centering (the first batch-norm layer
-    absorbs it). Raises IdxFormatError on malformed payloads and ConfigError
-    when the two files disagree on the record count or hold no records.
+    The split keeps the images' payload bytes as its read-only ``uint8``
+    pixels, flattened per image, without a copy; ``dtype`` is the one its
+    batches are scaled to (by 1/255, no centering: the first batch-norm
+    layer absorbs it). Raises IdxFormatError on malformed payloads and
+    ConfigError when the two files disagree on the record count or hold no
+    records.
     """
-    images = _parse_idx(_read_bytes(images_path), IMAGE_MAGIC, images_path)
+    pixels = _parse_idx(_read_bytes(images_path), IMAGE_MAGIC, images_path)
     labels = _parse_idx(_read_bytes(labels_path), LABEL_MAGIC, labels_path)
-    if images.shape[0] != labels.shape[0]:
+    if pixels.shape[0] != labels.shape[0]:
         raise ConfigError(
-            f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
-    if images.shape[0] == 0:
+            f"{images_path}: {pixels.shape[0]} images but {labels.shape[0]} labels")
+    if pixels.shape[0] == 0:
         raise ConfigError(f"{images_path}: no records")
     if labels.size and labels.max() > 9:
         raise ConfigError(f"{labels_path}: labels above 9 present")
-    dtype = np.dtype(dtype)
-    flat = images.reshape(images.shape[0], -1).astype(dtype) / dtype.type(255)
-    return DatasetSplit(images=flat, labels=labels.astype(np.int64), name=name)
+    return DatasetSplit(pixels=pixels.reshape(pixels.shape[0], -1),
+                        labels=labels.astype(np.int64), name=name, dtype=dtype)
 
 
 def _find_file(directory, stem):
@@ -182,7 +199,7 @@ def batches(split: DatasetSplit, batch_size, rng):
     order = rng.permutation(len(split))
     for start in range(0, len(split), batch_size):
         take = order[start:start + batch_size]
-        yield split.images[take], split.labels[take]
+        yield split.rows(take), split.labels[take]
 
 
 def _sha256(path):

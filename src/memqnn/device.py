@@ -95,7 +95,8 @@ class CellArray:
     whether the target equals the current state. Callers that want the
     program-only-on-change policy must select the cells they pass (see the
     crossbar tile). The three state arrays are C-contiguous. ``load_state_dict``
-    refuses a negative op count and a conductance that is negative or not finite.
+    refuses a level outside -1..8, an op count that is not a whole number
+    >= 0 and a conductance that is negative or not finite.
     """
 
     def __init__(self, shape, spec: LevelSpec, endurance=DEFAULT_ENDURANCE):
@@ -163,14 +164,22 @@ class CellArray:
         return {prefix + "level": self.level, prefix + "g": self.g, prefix + "ops": self.ops}
 
     def load_state_dict(self, state, prefix=""):
-        arrays = {name: np.array(state[prefix + name], dtype=dtype)
-                  for name, dtype in (("level", np.int8), ("g", np.float64), ("ops", np.int64))}
-        for name, a in arrays.items():
+        stored = {name: np.asarray(state[prefix + name]) for name in ("level", "g", "ops")}
+        for name, a in stored.items():
             if a.shape != self.shape:
                 raise ValueError(f"{prefix}{name} shape {a.shape} != cell array shape {self.shape}")
-        level, g, ops = arrays.values()
+            if a.dtype.kind not in "iuf":
+                raise ValueError(f"{prefix}{name} holds {a.dtype} values, not numbers")
+        level, g, ops = stored.values()
+        # checked before the casts, which would wrap or truncate a value that does not fit
+        if not ((level >= -1) & (level < N_LEVELS) & (level == np.floor(level))).all():
+            raise ValueError(f"{prefix}level holds a level outside -1..{N_LEVELS - 1}")
         if (ops < 0).any():
             raise ValueError(f"{prefix}ops holds a negative op count {ops.min()}")
+        if not ((ops <= np.iinfo(np.int64).max) & (ops == np.floor(ops))).all():
+            raise ValueError(f"{prefix}ops holds an op count that is not a whole number")
         if not ((g >= 0) & (g < np.inf)).all():  # NaN fails both; -0.0 and 0 pass
             raise ValueError(f"{prefix}g holds a conductance that is negative or not finite")
-        self.level, self.g, self.ops = level, g, ops
+        self.level = level.astype(np.int8)
+        self.g = g.astype(np.float64)
+        self.ops = ops.astype(np.int64)

@@ -324,8 +324,8 @@ def load_task_splits(config, parts=("train", "test")):
         for part in parts:
             split = load_dataset(task_dir, part, name=task.name, dtype=np.dtype(config.dtype))
             top = split.labels.max(initial=0)
-            if split.images.shape[1] != config.dims[0] or top >= config.dims[-1]:
-                raise ConfigError(f"{task_dir} {part}: {split.images.shape[1]} pixels and "
+            if split.pixels.shape[1] != config.dims[0] or top >= config.dims[-1]:
+                raise ConfigError(f"{task_dir} {part}: {split.pixels.shape[1]} pixels and "
                                   f"labels up to {top} do not fit dims {config.dims}")
             splits[part][task.name] = split
     return splits
@@ -348,11 +348,13 @@ def evaluate(mlp, split, eval_batch=1000, bn_state=None):
     usable cores are the process's CPU affinity mask (``os.cpu_count()``
     where there is none), and numpy's products release the GIL. The caller
     takes batches ``0, k, 2k, ...`` and a pool of ``k - 1`` threads the
-    rest. An eval-mode forward changes nothing and each share counts its
-    correct labels as an int, so the accuracy is the same float as one
-    thread's. A tile with read noise draws from the shared ``device_rng`` in
-    every product; such a model keeps ``k = 1`` and the serial draw order.
-    A multi-threaded BLAS contends with these threads: run with one BLAS thread.
+    rest. Each share scales its own batches from the split's 8-bit pixels
+    (``split.rows``), on its own thread. An eval-mode forward changes
+    nothing and each share counts its correct labels as an int, so the
+    accuracy is the same float as one thread's. A tile with read noise
+    draws from the shared ``device_rng`` in every product; such a model
+    keeps ``k = 1`` and the serial draw order. A multi-threaded BLAS
+    contends with these threads: run with one BLAS thread.
     """
     starts = range(0, len(split), eval_batch)
     noisy = any(layer.tile is not None and layer.tile.read_noise_sigma for layer in mlp.layers)
@@ -361,7 +363,7 @@ def evaluate(mlp, split, eval_batch=1000, bn_state=None):
     def correct(share):
         n = 0
         for start in share:
-            logits = mlp.forward(split.images[start:start + eval_batch], train=False)
+            logits = mlp.forward(split.rows(slice(start, start + eval_batch)), train=False)
             n += int((logits.argmax(axis=1) == split.labels[start:start + eval_batch]).sum())
         return n
 
@@ -645,7 +647,8 @@ def read_ops_counts(source):
     Each tile gives its plus cells, then its minus cells, in row-major order.
     A run directory's tiles come from ``restore_run`` on its checkpoint.npz:
     a missing checkpoint, one that ``restore_run`` refuses (damaged cells
-    included) and an exact-mode one, which has no tiles, raise ConfigError.
+    included) and an exact-mode one, which has no tiles, raise ConfigError,
+    as does a list with no cells (empty, or of zero-size tiles).
     """
     if isinstance(source, (str, Path)):
         path = Path(source) / "checkpoint.npz"
@@ -654,7 +657,10 @@ def read_ops_counts(source):
         source = [layer.tile for layer in restore_run(path)[1].layers if layer.tile is not None]
         if not source:
             raise ConfigError(f"{path}: an exact-mode checkpoint has no tiles")
-    return np.concatenate([tile.ops_per_cell() for tile in source])
+    counts = [tile.ops_per_cell() for tile in source]
+    if not sum(c.size for c in counts):  # no tiles, or only zero-size ones
+        raise ConfigError("no device cells in source")
+    return np.concatenate(counts)
 
 
 def ops_histogram(source, bucket_width=5):
@@ -662,8 +668,6 @@ def ops_histogram(source, bucket_width=5):
     if bucket_width < 1:
         raise ConfigError("bucket_width must be >= 1")
     counts = read_ops_counts(source)
-    if counts.size == 0:
-        raise ConfigError("no device cells in source")
     n_buckets = int(counts.max() // bucket_width) + 1
     edges = np.arange(n_buckets + 1) * bucket_width
     hist, _ = np.histogram(counts, bins=edges)

@@ -9,9 +9,10 @@ the away mask), a full re-projection of the hidden weights (where the layer's
 directions with one temporary per operation, a crossbar write that encodes and
 compares every pair, cell programming through boolean masks, the per-cell
 dump formatted from numpy scalars, the forward pass with its ReLU as a
-masked ``np.where`` and its batch norm from out-of-place temporaries, and the
-evaluation pass as one serial loop over its batches. The shipped code must
-reproduce them bit for bit.
+masked ``np.where`` and its batch norm from out-of-place temporaries, the
+evaluation pass as one serial loop over its batches, and a dataset split
+scaled to floats as one whole array (where a split keeps its 8-bit pixels
+and scales each batch). The shipped code must reproduce them bit for bit.
 """
 
 import warnings
@@ -220,15 +221,21 @@ def reference_forward(mlp, x, train=False, tape=None):
     return a
 
 
+def reference_images(split):
+    """The whole split's pixels scaled to [0, 1] in its dtype, as one float array."""
+    return split.pixels.astype(split.dtype) / split.dtype.type(255)
+
+
 def reference_evaluate(mlp, split, eval_batch=1000, bn_state=None):
     """harness.evaluate as one serial loop over the batches, on the calling thread."""
     live = mlp.bn_state() if bn_state is not None else None
     try:
         if bn_state is not None:
             mlp.set_bn_state(bn_state)
+        images = reference_images(split)
         correct = 0
         for start in range(0, len(split), eval_batch):
-            logits = mlp.forward(split.images[start:start + eval_batch], train=False)
+            logits = mlp.forward(images[start:start + eval_batch], train=False)
             correct += int((logits.argmax(axis=1)
                             == split.labels[start:start + eval_batch]).sum())
         return 100.0 * correct / len(split)

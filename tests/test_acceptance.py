@@ -280,7 +280,7 @@ def test_criterion_6_property_suite(tmp_path):
         with open(lp, "wb") as f:
             f.write(struct.pack(">II", 0x801, 2) + bytes([3, 9]))
         split = load_idx(ip, lp, dtype=np.float64)
-        assert np.allclose(split.images * 255,
+        assert np.allclose(split.rows(slice(None)) * 255,
                            imgs.reshape(2, -1).astype(np.float64))
         assert split.labels.tolist() == [3, 9]
 

@@ -14,6 +14,7 @@ from memqnn.data import (
 from memqnn.errors import ConfigError, IdxFormatError
 
 from conftest import write_idx_images, write_idx_labels
+from oracles import reference_images
 
 
 @pytest.fixture
@@ -34,10 +35,11 @@ class TestLoadIdx:
     def test_fixture_roundtrip(self, fixture_pair):
         ip, lp, imgs, labels = fixture_pair
         split = load_idx(ip, lp, name="fix", dtype=np.float64)
-        assert split.images.shape == (2, 12)
-        assert split.images[0, 0] == 1.0
-        assert split.images[0, 11] == pytest.approx(51 / 255)
-        assert split.images[1, 6] == pytest.approx(102 / 255)
+        images = split.rows(slice(None))
+        assert images.shape == (2, 12)
+        assert images[0, 0] == 1.0
+        assert images[0, 11] == pytest.approx(51 / 255)
+        assert images[1, 6] == pytest.approx(102 / 255)
         assert np.array_equal(split.labels, labels)
         assert split.name == "fix"
 
@@ -51,7 +53,8 @@ class TestLoadIdx:
     def test_pixels_in_unit_interval(self, fixture_pair):
         ip, lp, _, _ = fixture_pair
         split = load_idx(ip, lp)
-        assert split.images.min() >= 0.0 and split.images.max() <= 1.0
+        images = split.rows(slice(None))
+        assert images.min() >= 0.0 and images.max() <= 1.0
 
     def test_corrupt_magic_names_offset(self, fixture_pair, tmp_path):
         ip, lp, _, _ = fixture_pair
@@ -80,13 +83,13 @@ class TestLoadIdx:
     def test_real_mnist_shapes(self, real_data_dir):
         train = load_dataset(real_data_dir / "mnist", "train")
         test = load_dataset(real_data_dir / "mnist", "test")
-        assert len(train) == 60_000 and train.images.shape == (60_000, 784)
+        assert len(train) == 60_000 and train.pixels.shape == (60_000, 784)
         assert len(test) == 10_000
         assert train.labels.min() == 0 and train.labels.max() == 9
 
     def test_real_fashion_mnist_shapes(self, real_data_dir):
         train = load_dataset(real_data_dir / "fashion-mnist", "train")
-        assert len(train) == 60_000 and train.images.shape == (60_000, 784)
+        assert len(train) == 60_000 and train.pixels.shape == (60_000, 784)
 
 
 class TestBatches:
@@ -103,7 +106,7 @@ class TestBatches:
         total = sum(b.shape[0] for b in seen)
         assert total == len(split)
         stacked = np.vstack(seen)
-        assert np.array_equal(np.sort(stacked[:, 0]), np.sort(split.images[:, 0]))
+        assert np.array_equal(np.sort(stacked[:, 0]), np.sort(split.rows(slice(None))[:, 0]))
 
     def test_same_seed_same_order(self, synth_data_dir):
         split = load_dataset(synth_data_dir / "synthA", "train")
@@ -124,6 +127,67 @@ class TestBatches:
     def test_bad_batch_size(self, split):
         with pytest.raises(ConfigError):
             list(batches(split, 0, np.random.default_rng(0)))
+
+
+class TestEightBitSplit:
+    """A split keeps the IDX pixels and scales each batch with the whole-split conversion's bits."""
+
+    DTYPES = (np.float32, np.float64)
+    UINT = {np.float32: np.uint32, np.float64: np.uint64}
+
+    @pytest.fixture(params=["plain", "gzip"])
+    def every_value_pair(self, request, tmp_path):
+        """41 images of 5x7 pixels holding every byte value, plus labels, and the images."""
+        rng = np.random.default_rng(12)
+        flat = np.concatenate([np.arange(256), rng.integers(0, 256, 41 * 35 - 256)])
+        imgs = rng.permutation(flat).astype(np.uint8).reshape(41, 5, 7)
+        ip, lp = tmp_path / "imgs", tmp_path / "lbls"
+        write_idx_images(ip, imgs)
+        write_idx_labels(lp, rng.integers(0, 10, 41))
+        if request.param == "gzip":
+            ip.write_bytes(gzip.compress(ip.read_bytes()))
+        return ip, lp, imgs
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_rows_bit_equal_whole_split(self, every_value_pair, dtype):
+        ip, lp, _ = every_value_pair
+        split = load_idx(ip, lp, dtype=dtype)
+        whole = reference_images(split)
+        assert whole.dtype == dtype and np.unique(split.pixels).size == 256
+        rng = np.random.default_rng(13)
+        for index in (slice(None), slice(3, 17), slice(40, 41), slice(30, 100), slice(5, 5),
+                      slice(None, None, 3), rng.permutation(41), rng.integers(0, 41, 60),
+                      np.array([7]), np.array([], dtype=np.int64)):
+            got, want = split.rows(index), whole[index]
+            assert got.dtype == dtype and got.shape == want.shape, index
+            assert np.array_equal(got.view(self.UINT[dtype]), want.view(self.UINT[dtype])), index
+
+    def test_pixels_are_the_payload_bytes(self, every_value_pair):
+        ip, lp, imgs = every_value_pair
+        split = load_idx(ip, lp, dtype=np.float64)
+        assert split.pixels.dtype == np.uint8 and split.pixels.shape == (41, 35)
+        assert not split.pixels.flags.writeable
+        with pytest.raises(ValueError):
+            split.pixels[0, 0] = 1
+        assert np.array_equal(split.pixels, imgs.reshape(41, 35))
+        arrays = [v for v in vars(split).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == 41 * 35 + split.labels.nbytes
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_batches_match_the_float_path(self, synth_data_dir, dtype):
+        split = load_dataset(synth_data_dir / "synthA", "train", dtype=dtype)
+        whole = reference_images(split)
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for epoch in range(2):
+            got = list(batches(split, 100, rng))
+            order = ref_rng.permutation(len(split))
+            want = [(whole[order[i:i + 100]], split.labels[order[i:i + 100]])
+                    for i in range(0, len(split), 100)]
+            assert len(got) == len(want)
+            for (x, y), (wx, wy) in zip(got, want):
+                assert x.dtype == dtype and x.shape == wx.shape
+                assert np.array_equal(x.view(self.UINT[dtype]), wx.view(self.UINT[dtype]))
+                assert np.array_equal(y, wy)
 
 
 class TestTaskSchedule:

@@ -183,3 +183,24 @@ class TestState:
         pristine["g"][0, 1] = -0.0
         cells.load_state_dict(pristine)
         assert np.signbit(cells.g[0, 1])
+
+    def test_load_refuses_values_a_cast_would_change(self, spec):
+        """A level the int8 cast would wrap, an op count the int64 cast would truncate."""
+        cells = CellArray((2,), spec)
+        pristine = {k: v.copy() for k, v in cells.state_dict().items()}
+        for key, value, named in (
+                ("level", [259, 3], "level holds a level outside -1..8"),
+                ("ops", [2.7, 1.0], "ops holds an op count that is not a whole number")):
+            with pytest.raises(ValueError, match=f"^{named}$"):
+                cells.load_state_dict({**pristine, key: np.array(value)})
+            assert cells.level.tolist() == [-1, -1] and cells.ops.tolist() == [0, 0]
+        for key, value in (("level", [-2, 0]), ("level", [9, 0]), ("level", [2.5, 0.0]),
+                           ("level", [np.nan, 0.0]), ("ops", [np.nan, 0.0]),
+                           ("ops", [np.inf, 0.0]), ("ops", np.array([2**63, 0], np.uint64)),
+                           ("g", ["1.0", "2.0"])):
+            with pytest.raises(ValueError, match=f"^{key} holds"):
+                cells.load_state_dict({**pristine, key: np.array(value)})
+        cells.load_state_dict({"level": np.array([8.0, -1.0]), "g": np.array([1, 0]),
+                               "ops": np.array([3.0, 0.0])})  # whole floats install exactly
+        assert cells.level.dtype == np.int8 and cells.level.tolist() == [8, -1]
+        assert cells.ops.dtype == np.int64 and cells.ops.tolist() == [3, 0]

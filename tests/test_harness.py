@@ -24,7 +24,7 @@ from memqnn.harness import (
     save_checkpoint,
     write_ops_histogram_csv,
 )
-from memqnn.xbar import dump_tiles_tsv
+from memqnn.xbar import CrossbarTile, dump_tiles_tsv
 
 from conftest import make_synth_task, uniform_mlp, write_idx_images, write_idx_labels
 
@@ -467,6 +467,16 @@ class TestOpsHistogram:
         assert capsys.readouterr().err == f"error: no checkpoint at {path}\n"
         assert not (tmp_path / "ops_histogram.csv").exists()
 
+    def test_no_cells_rejected(self):
+        cfg = ExperimentConfig(dims=(4, 3), weight_source="crossbar",
+                               grid_source="device").validate()
+        _, dgrid = harness.build_grid(cfg)
+        empty = CrossbarTile(0, 3, dgrid, np.random.default_rng(0))
+        for source in ([], [empty], [empty, empty]):
+            for read in (read_ops_counts, ops_histogram):
+                with pytest.raises(ConfigError, match="^no device cells in source$"):
+                    read(source)
+
     def test_exact_run_rejected(self, synth_data_dir, tmp_path, capsys):
         cfg = synth_config(synth_data_dir, tmp_path / "he",
                            tasks=[TaskSpec("synthA", 1)], pretrain_epochs=0)
@@ -485,13 +495,17 @@ class TestOpsHistogram:
         saved = dict(np.load(run_sequential(cfg).out_dir / "checkpoint.npz"))
 
         def edited(key, value):
-            a = saved[key].copy()
+            a = saved[key].astype(np.result_type(saved[key], value))
             a.flat[5] = value
             return {**saved, key: a}
 
         bad_g = "holds a conductance that is negative or not finite"
         for key, value, named in (
                 ("tile0.plus.ops", -4, "tile0.plus.ops holds a negative op count -4"),
+                ("tile0.minus.level", np.int16(259),
+                 "tile0.minus.level holds a level outside -1..8"),
+                ("tile0.minus.ops", np.float64(2.7),
+                 "tile0.minus.ops holds an op count that is not a whole number"),
                 ("tile0.plus.g", np.nan, f"tile0.plus.g {bad_g}"),
                 ("tile0.minus.g", -5.0, f"tile0.minus.g {bad_g}")):
             run_dir = tmp_path / key
@@ -552,7 +566,7 @@ class TestCli:
         seen = []
 
         def spy(mlp, split, *args, **kwargs):
-            seen.append(split.images.dtype)
+            seen.append(split.rows(slice(0, 1)).dtype)
             return evaluate(mlp, split, *args, **kwargs)
 
         monkeypatch.setattr(cli, "evaluate", spy)
