@@ -10,7 +10,9 @@ the budget warns rather than aborts.
 
 Conductances are in microsiemens. No drift, relaxation or pulse-shape physics
 is modeled; variability enters exclusively through the per-level normal
-distributions of the LevelSpec.
+distributions of the LevelSpec. A program call draws all its cells as one
+standard-normal fill, scaled and shifted per cell by its level's sigma and
+mean, which is the stream and the bits of a per-cell ``rng.normal`` draw.
 """
 
 from __future__ import annotations
@@ -76,14 +78,25 @@ def default_levelspec(sigma_frac=0.08):
 
 
 def flat_indices(where, size):
-    """Integer ``where`` as strictly ascending flat (C-order) indices below ``size``."""
-    idx = np.asarray(where)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise TypeError(f"where must be None or integer flat indices, not {idx.dtype}")
+    """Integer ``where`` as strictly ascending flat (C-order) indices below ``size``.
+
+    A size-0 ``where`` (``[]`` or ``()`` included) selects nothing; a boolean
+    mask, or a non-empty array of any other non-integer dtype, is a
+    ``TypeError``.
+    """
+    idx = _integers(where, "where must be None or integer flat indices")
     idx = idx.astype(np.intp, copy=False).ravel()
-    if idx.size and (idx[0] < 0 or idx[-1] >= size or np.any(idx[1:] <= idx[:-1])):
+    if idx.size and (idx[0] < 0 or idx[-1] >= size or (idx[1:] <= idx[:-1]).any()):
         raise ValueError(f"indices must be strictly ascending flat indices in 0..{size - 1}")
     return idx
+
+
+def _integers(a, message):
+    """``a`` as an array, refused with ``TypeError`` unless integer or size-0 non-bool."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu" and (a.size or a.dtype.kind == "b"):
+        raise TypeError(f"{message}, not {a.dtype}")
+    return a
 
 
 class CellArray:
@@ -116,32 +129,47 @@ class CellArray:
 
         ``where`` selects the cells: None for all of them, or flat indices
         checked by ``flat_indices`` (a boolean mask is a ``TypeError``), in
-        which case ``targets`` holds one level per index. Every selected cell
-        gets a fresh conductance draw from its target level's distribution
-        (clamped at zero) and an op-count increment, drawn in ascending flat
-        order. Returns the number of program operations performed.
+        which case ``targets`` holds one level per index. ``targets`` must
+        hold integers: a boolean, float or object array is a ``TypeError``,
+        raised before any draw. Every selected cell gets a fresh conductance
+        draw from its target level's distribution (clamped at zero) and an
+        op-count increment. The draws are one ``rng.standard_normal`` fill in
+        ascending flat order, scaled by each target's sigma and shifted by its
+        mean: the bits ``rng.normal(mean, sigma)`` gives, from the same
+        stream. Returns the number of program operations performed.
         """
+        targets = _integers(targets, "target levels must be integers")
         if where is None:
-            cells = slice(None)
-            picked = np.broadcast_to(targets, self.shape).reshape(-1)
+            cells, shape = slice(None), self.shape
         else:
             cells = flat_indices(where, self.size)
-            picked = np.broadcast_to(targets, cells.shape)
-        if picked.size and (picked.min() < 0 or picked.max() >= N_LEVELS):
-            raise ValueError(f"target levels must lie in 0..{N_LEVELS - 1}")
+            shape = cells.shape
+        if targets.shape != shape:  # one level for every cell
+            targets = np.broadcast_to(targets, shape)
+        picked = targets.reshape(-1)
         if picked.size == 0:
             return 0
-        mu = self.spec.means[picked]
-        sd = self.spec.sigmas[picked]
-        draws = np.maximum(rng.normal(mu, sd), 0.0)
+        if picked.min() < 0 or picked.max() >= N_LEVELS:
+            raise ValueError(f"target levels must lie in 0..{N_LEVELS - 1}")
         # flat views: the state arrays are C-contiguous
         level, g, ops = (a.reshape(-1) for a in (self.level, self.g, self.ops))
+        # a program of every cell draws straight into g
+        draws = rng.standard_normal(out=g) if where is None else rng.standard_normal(picked.size)
+        table_idx = picked.astype(np.intp, copy=False)  # take casts other ints slowly
+        draws *= self.spec.sigmas.take(table_idx)
+        draws += self.spec.means.take(table_idx)
+        np.maximum(draws, 0.0, out=draws)
         level[cells] = picked
-        g[cells] = draws
-        counts = ops[cells] + 1
-        ops[cells] = counts
-        over = int(np.count_nonzero(counts > self.endurance))
-        if over:
+        if where is None:
+            ops += 1
+            counts = ops
+        else:
+            g[cells] = draws
+            counts = ops.take(cells)
+            counts += 1
+            ops[cells] = counts
+        if counts.max() > self.endurance:
+            over = int(np.count_nonzero(counts > self.endurance))
             warnings.warn(
                 f"{over} cell(s) exceeded the endurance budget of {self.endurance} program ops",
                 EnduranceWarning,
@@ -180,6 +208,6 @@ class CellArray:
             raise ValueError(f"{prefix}ops holds an op count that is not a whole number")
         if not ((g >= 0) & (g < np.inf)).all():  # NaN fails both; -0.0 and 0 pass
             raise ValueError(f"{prefix}g holds a conductance that is negative or not finite")
-        self.level = level.astype(np.int8)
-        self.g = g.astype(np.float64)
-        self.ops = ops.astype(np.int64)
+        self.level = level.astype(np.int8, order="C")
+        self.g = g.astype(np.float64, order="C")
+        self.ops = ops.astype(np.int64, order="C")

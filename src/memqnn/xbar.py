@@ -97,7 +97,7 @@ class CrossbarTile:
         self.dtype = np.dtype(dtype)  # dtype handed to the MVM consumers
         self.plus = CellArray((rows, cols), dgrid.spec, endurance)
         self.minus = CellArray((rows, cols), dgrid.spec, endurance)
-        self._w_eff = self._decode(self.plus.g, self.minus.g)
+        self._w_eff = np.zeros(self.shape, self.dtype)  # pristine g is 0.0 on both sides
 
     @property
     def shape(self):
@@ -115,25 +115,33 @@ class CrossbarTile:
         holds, and pristine cells differ from every target, so a first write
         of every pair programs every cell exactly once, LCS targets included.
         Cells are programmed plus first, then minus, each in ascending flat
-        order.
+        order. When every pair is visited, a side whose cells all change (as
+        on a fresh tile) is programmed with ``where=None``, through a slice;
+        otherwise the changed cells are passed by flat index.
         """
+        ops = 0
         if where is None:
             k = np.asarray(signed_levels)
             if k.shape != self.shape:
                 raise ValueError(f"level matrix shape {k.shape} != tile shape {self.shape}")
-            pairs, k = np.arange(k.size), k.reshape(-1)
-        else:
-            pairs = flat_indices(where, self.plus.size)
-            k = np.broadcast_to(signed_levels, pairs.shape)
-        ops = 0
-        for cells, targets in zip((self.plus, self.minus), encode_levels(k)):
-            changed = np.take(cells.level, pairs) != targets
-            ops += cells.program(targets[changed], self.rng, where=pairs[changed])
-        if where is None:
+            for cells, targets in zip((self.plus, self.minus), encode_levels(k)):
+                changed = cells.level != targets
+                if changed.all():
+                    ops += cells.program(targets, self.rng)
+                else:
+                    pick = np.flatnonzero(changed)
+                    ops += cells.program(targets.take(pick), self.rng, where=pick)
             self._w_eff[...] = self._decode(self.plus.g, self.minus.g)
-        else:
-            self._w_eff.reshape(-1)[pairs] = self._decode(np.take(self.plus.g, pairs),
-                                                          np.take(self.minus.g, pairs))
+            return ops
+        pairs = flat_indices(where, self.plus.size)
+        k = np.asarray(signed_levels)
+        if k.shape != pairs.shape:  # one level for every pair
+            k = np.broadcast_to(k, pairs.shape)
+        for cells, targets in zip((self.plus, self.minus), encode_levels(k)):
+            changed = cells.level.take(pairs) != targets
+            ops += cells.program(targets[changed], self.rng, where=pairs[changed])
+        self._w_eff.reshape(-1)[pairs] = self._decode(self.plus.g.take(pairs),
+                                                      self.minus.g.take(pairs))
         return ops
 
     # -- analog compute --------------------------------------------------------

@@ -22,15 +22,25 @@ from memqnn.optim import Adam
 from memqnn.quantgrid import QuantGrid
 from memqnn.xbar import encode_levels
 
+SMALL = (64, 24, 24, 10)
+DESK = (784, 256, 256, 10)
+
 # sha256 over every layer's hidden weights and level indices, every tile's
 # plus/minus cell level, conductance and op count, and the device RNG state
-# after the build (dims 64-24-24-10, seed 11, default device model)
+# after the build (seed 11, default device model); the desk-dims build pins
+# the conductance draws at benchmark widths
 BUILD_DIGESTS = {
-    ("exact", "float32"): "7033ad38e9850ec43bce13fd3afd79c50218a282488922607411e4f8b00b6aca",
-    ("exact", "float64"): "79b0a1b17f024ffac5e7c5403724245039717687fb2707496ce1f30f49e7eb23",
-    ("crossbar", "float32"): "521ad8370b047e7b57aae8068b80ce41ad17f8523b692a8f7d6ebefa2bf6034f",
-    ("crossbar", "float64"): "e5280eeb256d79b5428ba8ad71f0443d96ece8d7a0e8d2743197121d60f8ee7f",
+    ("exact", "float32", SMALL): "7033ad38e9850ec43bce13fd3afd79c50218a282488922607411e4f8b00b6aca",
+    ("exact", "float64", SMALL): "79b0a1b17f024ffac5e7c5403724245039717687fb2707496ce1f30f49e7eb23",
+    ("crossbar", "float32", SMALL): "521ad8370b047e7b57aae8068b80ce41ad17f8523b692a8f7d6ebefa2bf6034f",
+    ("crossbar", "float64", SMALL): "e5280eeb256d79b5428ba8ad71f0443d96ece8d7a0e8d2743197121d60f8ee7f",
+    ("crossbar", "float32", DESK): "fefea8554d88cb3e9dad91758ecf3d70c3fd4fbb34d7d49e4c55e00288bdc3d0",
 }
+
+
+def _digest_id(key):
+    mode, dtype, dims = key
+    return "-".join([mode, dtype] + ([] if dims == SMALL else [str(d) for d in dims]))
 
 
 def config(mode, dtype, dims, seed, grid_source=None):
@@ -47,9 +57,10 @@ def build(mode, dtype, dims, seed, grid_source=None):
     return mlp, dgrid, ops, device_rng
 
 
-@pytest.mark.parametrize("mode, dtype", sorted(BUILD_DIGESTS))
-def test_build_state_pinned(mode, dtype):
-    mlp, _, ops, device_rng = build(mode, dtype, (64, 24, 24, 10), 11)
+@pytest.mark.parametrize("mode, dtype, dims", sorted(BUILD_DIGESTS),
+                         ids=[_digest_id(key) for key in sorted(BUILD_DIGESTS)])
+def test_build_state_pinned(mode, dtype, dims):
+    mlp, _, ops, device_rng = build(mode, dtype, dims, 11)
     h = hashlib.sha256()
     for layer in mlp.layers:
         arrays = [layer.w_hidden, layer.level_idx]
@@ -59,8 +70,9 @@ def test_build_state_pinned(mode, dtype):
         for a in arrays:
             h.update(a.dtype.str.encode() + str(a.shape).encode() + a.tobytes())
     h.update(json.dumps(device_rng.bit_generator.state, sort_keys=True).encode())
-    assert h.hexdigest() == BUILD_DIGESTS[mode, dtype]
-    assert ops == (2 * (64 * 24 + 24 * 24 + 24 * 10) if mode == "crossbar" else 0)
+    assert h.hexdigest() == BUILD_DIGESTS[mode, dtype, dims]
+    pairs = sum(a * b for a, b in zip(dims[:-1], dims[1:]))
+    assert ops == (2 * pairs if mode == "crossbar" else 0)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

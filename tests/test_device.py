@@ -92,6 +92,36 @@ class TestProgram:
         with pytest.raises(ValueError):
             cells.program([-1, 0], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("targets, dtype", [
+        (np.arange(9) % 2 == 1, "bool"),       # read as a mask, it gave levels 0..8
+        (np.full(9, 3.0), "float64"),
+        (np.array([3] * 9, dtype=object), "object"),
+    ])
+    @pytest.mark.parametrize("where", [None, np.arange(9)])
+    def test_non_integer_targets_rejected_before_any_draw(self, spec, targets, dtype, where):
+        cells = CellArray((9,), spec)
+        cells.program(np.arange(9), np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        before = {k: v.copy() for k, v in cells.state_dict().items()}, rng.bit_generator.state
+        with pytest.raises(TypeError, match=dtype):
+            cells.program(targets, rng, where=where)
+        assert all(np.array_equal(v, before[0][k]) for k, v in cells.state_dict().items())
+        assert rng.bit_generator.state == before[1]
+
+    @pytest.mark.parametrize("where", [[], (), np.array([], dtype=np.int64), np.empty((0, 3))])
+    def test_empty_where_selects_nothing(self, spec, where):
+        cells = CellArray((3, 3), spec)
+        rng = np.random.default_rng(0)
+        assert cells.program(4, rng, where=where) == 0
+        assert cells.program([], rng, where=where) == 0
+        assert (cells.level == -1).all() and not cells.ops.any() and not cells.g.any()
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("where", [np.array([], dtype=bool), np.array([0.0, 1.0])])
+    def test_boolean_or_non_empty_float_where_rejected(self, spec, where):
+        with pytest.raises(TypeError):
+            CellArray((3, 3), spec).program(4, np.random.default_rng(0), where=where)
+
     def test_distributions_match_spec(self, spec):
         # 16k cells per level; Kolmogorov-Smirnov against the configured normal
         rng = np.random.default_rng(2024)
@@ -168,6 +198,15 @@ class TestState:
         assert np.array_equal(clone.g, cells.g)
         assert np.array_equal(clone.level, cells.level)
         assert np.array_equal(clone.ops, cells.ops)
+
+    def test_program_after_loading_fortran_ordered_state(self, spec):
+        # program writes through flat views, which a Fortran-ordered array would not give
+        cells = CellArray((3, 4), spec)
+        cells.load_state_dict({k: np.asfortranarray(v) for k, v in cells.state_dict().items()})
+        for where in (None, np.array([5])):
+            cells.program(7, np.random.default_rng(0), where=where)
+        assert (cells.level == 7).all() and (cells.g > 0).all()
+        assert cells.ops.reshape(-1).tolist() == [1] * 5 + [2] + [1] * 6
 
     def test_load_refuses_damaged_cells(self, spec):
         cells = CellArray((2, 2), spec)

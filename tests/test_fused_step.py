@@ -5,6 +5,7 @@ or a changed RNG draw order fails as loudly as a wrong level.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,14 @@ def _write_sequence(rng, shape, n):
     return seq
 
 
+def _recorded(write):
+    """(write's return value, [(category, message)] of the warnings it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = write()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
 class TestWriteOracle:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
@@ -404,6 +413,82 @@ class TestWriteOracle:
         with pytest.raises(TypeError):
             cells.program(3, np.random.default_rng(0), where=np.eye(2, dtype=bool))
         assert (cells.level == -1).all() and not cells.ops.any()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("spec_name", ["sigma 8%", "zero sigma", "LCS mean 0"])
+    def test_wide_tile_bit_equal(self, spec_name, dtype):
+        # 257x131 pairs: a whole first write, a whole rewrite that changes 2%
+        # of the pairs, one that changes half and a return to matched LCS.
+        # With an endurance of 2, cells changed by the last two writes cross
+        # the budget.
+        means = default_levelspec().means
+        spec = {"sigma 8%": default_levelspec(),
+                "zero sigma": default_levelspec(sigma_frac=0.0),
+                "LCS mean 0": LevelSpec(np.concatenate(([0.0], means[1:])), 0.08 * means),
+                }[spec_name]
+        dgrid = derive_grid(spec)
+        shape = (257, 131)
+        rng = np.random.default_rng(31)
+        seq = [rng.integers(-HALF_SPAN, HALF_SPAN + 1, shape)]
+        for frac in (0.02, 0.5):
+            k = seq[-1].copy()
+            change = rng.random(shape) < frac
+            k[change] = rng.integers(-HALF_SPAN, HALF_SPAN + 1, change.sum())
+            seq.append(k)
+        seq.append(np.zeros(shape, dtype=np.int64))
+        whole, sparse, ref = (CrossbarTile(*shape, dgrid, np.random.default_rng(5),
+                                           endurance=2, dtype=dtype) for _ in range(3))
+        previous = np.full(shape, HALF_SPAN + 1)  # pristine: every pair is visited
+        crossings = 0
+        for k in seq:
+            where = np.flatnonzero(k != previous)
+            want = _recorded(lambda: reference_write_levels(ref, k))
+            assert _recorded(lambda: whole.write_levels(k)) == want
+            assert _recorded(lambda: sparse.write_levels(k.reshape(-1)[where], where=where)) == want
+            crossings += len(want[1])
+            previous = k
+            for tile in (whole, sparse):
+                for side in ("plus", "minus"):
+                    a, b = getattr(tile, side), getattr(ref, side)
+                    assert same_bytes(a.g, b.g) and same_bytes(a.level, b.level)
+                    assert same_bytes(a.ops, b.ops)
+                assert tile.rng.bit_generator.state == ref.rng.bit_generator.state
+                assert same_bytes(tile.effective_weights(), reference_decode(tile))
+                assert same_bytes(tile.effective_weights(), ref.effective_weights())
+        assert crossings > 0
+
+    def test_whole_write_programs_every_cell_without_indices(self, monkeypatch):
+        seen = []
+        program = CellArray.program
+
+        def spy(cells, targets, rng, where=None):
+            seen.append(where if where is None else len(where))
+            return program(cells, targets, rng, where=where)
+
+        monkeypatch.setattr(CellArray, "program", spy)
+        tile = CrossbarTile(4, 5, derive_grid(default_levelspec()), np.random.default_rng(0))
+        k = np.full((4, 5), 3)
+        tile.write_levels(k)  # pristine: every cell changes
+        k[1, 2] = 4           # one plus cell changes, no minus cell
+        tile.write_levels(k)
+        assert seen == [None, None, 1, 0]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_pristine_tile_decodes_to_positive_zero(self, dtype):
+        tile = CrossbarTile(5, 7, derive_grid(default_levelspec()), np.random.default_rng(0),
+                            dtype=dtype)
+        assert same_bytes(tile.effective_weights(), reference_decode(tile))
+        assert not np.signbit(tile.effective_weights()).any()
+
+    @pytest.mark.parametrize("where", [[], (), np.array([], dtype=np.intp)])
+    def test_write_levels_empty_where_is_free(self, where):
+        tile = CrossbarTile(3, 3, derive_grid(default_levelspec()), np.random.default_rng(0))
+        tile.write_levels(np.zeros((3, 3), dtype=int))
+        before = {k: v.copy() for k, v in tile.state_dict().items()}, tile.rng.bit_generator.state
+        assert tile.write_levels(5, where=where) == 0
+        assert tile.write_levels([], where=where) == 0
+        assert all(same_bytes(v, before[0][k]) for k, v in tile.state_dict().items())
+        assert tile.rng.bit_generator.state == before[1]
 
     def test_dump_tiles_tsv_bytes(self, tmp_path):
         tiles = [CrossbarTile(5, 3, derive_grid(default_levelspec()), np.random.default_rng(i))
