@@ -59,6 +59,7 @@ __all__ = [
     "run_sequential",
     "run_repeated",
     "run_sweep",
+    "schedule",
     "ops_histogram",
     "write_ops_histogram_csv",
     "read_ops_counts",
@@ -68,7 +69,7 @@ __all__ = [
 
 CHECKPOINT_VERSION = 1
 _BN_PARTS = ("gamma", "beta", "mean", "var")  # a bn_state() tuple in a BN snapshot
-_HIST_ROW = "{},{},{:.6f}"  # one ops_histogram row: ops_lo, ops_hi, pct_devices
+_HIST_HEADER = ["ops_lo", "ops_hi", "pct_devices"]  # the columns of an ops_histogram row
 
 
 @dataclass
@@ -112,7 +113,7 @@ class ExperimentConfig:
                                          and not isinstance(d, bool) and d > 0
                                          for d in self.dims):
             problems.append(f"dims must be >= 2 positive ints, got {self.dims}")
-        infinite = [name for name in ("lr", "m_star", "target_max", "device_sigma_frac",
+        infinite = [name for name in ("lr", "target_max", "device_sigma_frac",
                                       "read_noise_sigma") if not np.isfinite(getattr(self, name))]
         if infinite:
             problems.append(f"{', '.join(infinite)} must be finite")
@@ -130,10 +131,15 @@ class ExperimentConfig:
         if self.grid_source == "explicit":
             if not self.grid_level_values or len(self.grid_level_values) < 2:
                 problems.append("grid_source=explicit needs grid_level_values (>= 2 levels)")
-        if self.m_star < 0:
-            problems.append("m_star must be >= 0")
+        m_stars = [("", self.m_star)] + [(f"task {t.name!r}: ", t.m_star)
+                                          for t in self.tasks if t.m_star is not None]
+        problems += [f"{label}m_star must be finite and >= 0, got {m}"
+                     for label, m in m_stars if not (np.isfinite(m) and m >= 0)]
         if self.pretrain_epochs < 0:
             problems.append("pretrain_epochs must be >= 0")
+        if self.tasks and self.pretrain_epochs > self.tasks[0].epochs:
+            problems.append(f"pretrain_epochs {self.pretrain_epochs} exceeds the "
+                            f"{self.tasks[0].epochs} epochs of the first task")
         if self.lr < 0:  # zero is allowed: freezes learning, useful for diagnostics
             problems.append("lr must be >= 0")
         if self.batch_size < 1 or self.eval_batch < 1:
@@ -152,9 +158,6 @@ class ExperimentConfig:
             problems.append("adam_beta1 and adam_beta2 must lie in [0, 1)")
         if not self.adam_eps > 0:
             problems.append("adam_eps must be > 0")
-        problems += [f"task {t.name!r}: m_star must be finite and >= 0, got {t.m_star}"
-                     for t in self.tasks
-                     if t.m_star is not None and not (np.isfinite(t.m_star) and t.m_star >= 0)]
         names = [t.name for t in self.tasks]
         if len(set(names)) != len(names):
             problems.append(f"task names must be unique, got {names}")
@@ -163,11 +166,9 @@ class ExperimentConfig:
         # the steepest plasticity slope, 2 * m* / (narrowest width), must be finite
         narrowest = build_grid(self)[0].widths.min()
         with np.errstate(over="ignore"):
-            problems = [f"{what}m_star {m} overflows the plasticity slope in {self.dtype}"
-                        for what, m in [("", self.m_star)]
-                        + [(f"task {t.name!r}: ", t.m_star) for t in self.tasks]
-                        if m is not None
-                        and not np.isfinite(np.asarray(2.0 * m / narrowest, self.dtype))]
+            problems = [f"{label}m_star {m} overflows the plasticity slope in {self.dtype}"
+                        for label, m in m_stars
+                        if not np.isfinite(np.asarray(2.0 * m / narrowest, self.dtype))]
         if problems:
             raise ConfigError("; ".join(problems))
         return self
@@ -399,21 +400,28 @@ def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     return loss, ops
 
 
-def _effective_m_star(config, task, task_index, global_epoch):
-    if task_index == 0 and global_epoch < config.pretrain_epochs:
-        return 0.0
-    return task.m_star if task.m_star is not None else config.m_star
+def schedule(config):
+    """(epoch, task, m*, last epoch of its task?) for every epoch, counting from 1.
+
+    The first ``pretrain_epochs`` epochs train at m*=0 (``validate`` keeps them
+    within the first task); every other epoch trains at its task's own m*, or
+    the config's when the task has none.
+    """
+    epoch = 0
+    for task in config.tasks:
+        m = config.m_star if task.m_star is None else task.m_star
+        for e in range(task.epochs):
+            epoch += 1
+            yield epoch, task, 0.0 if epoch <= config.pretrain_epochs else m, e == task.epochs - 1
 
 
-def write_metrics_csv(path, records, task_names):
-    header = ",".join(["epoch", "task"] + [f"acc_{n}" for n in task_names] + ["cum_ops"])
-    lines = [header]
-    for r in records:
-        cells = [str(r.epoch), r.task]
-        cells += [f"{r.accuracies[n]:.4f}" for n in task_names]
-        cells.append(str(r.cum_ops))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_csv(path, header, rows):
+    """``header`` and each row of cells as comma-joined lines; cells go through str()."""
+    Path(path).write_text("".join(",".join(map(str, r)) + "\n" for r in [header, *rows]))
+
+
+def _hist_cells(lo, hi, pct):
+    return lo, hi, f"{pct:.6f}"
 
 
 # -- checkpointing ----------------------------------------------------------------
@@ -538,40 +546,37 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
     task_names = [t.name for t in config.tasks]
     records = []
     bn_snapshots = {}  # task name -> BN state frozen when its training ended
-    hist_rows = []     # "epoch,lo,hi,pct" lines, crossbar only
+    hist_rows = []     # (epoch, lo, hi, pct) cells, crossbar only
     hist = None        # the latest epoch's histogram
     started = time.perf_counter()
-    global_epoch = 0
-    for task_index, task in enumerate(config.tasks):
-        split = splits["train"][task.name]
-        for _ in range(task.epochs):
-            m_eff = _effective_m_star(config, task, task_index, global_epoch)
-            for x, y in batches(split, config.batch_size, data_rng):
-                _, ops = train_step(mlp, adam, x, y, m_eff, config.lr, dgrid)
-                cum_ops += ops
-            global_epoch += 1
-            accs = {name: evaluate(mlp, splits["test"][name], config.eval_batch,
-                                   bn_state=bn_snapshots.get(name))
-                    for name in task_names}
-            records.append(MetricsRecord(global_epoch, task.name, accs, cum_ops))
-            if config.weight_source == "crossbar":
-                hist = ops_histogram([l.tile for l in mlp.layers])
-                hist_rows += [f"{global_epoch}," + _HIST_ROW.format(*row) for row in hist]
-            if log:
-                accs_s = " ".join(f"{n}={accs[n]:.2f}" for n in task_names)
-                log(f"epoch {global_epoch:3d} [{task.name} m*={m_eff:g}] {accs_s} ops={cum_ops}")
-        if config.per_task_bn:
+    for epoch, task, m_eff, last in schedule(config):
+        for x, y in batches(splits["train"][task.name], config.batch_size, data_rng):
+            _, ops = train_step(mlp, adam, x, y, m_eff, config.lr, dgrid)
+            cum_ops += ops
+        accs = {name: evaluate(mlp, splits["test"][name], config.eval_batch,
+                               bn_state=bn_snapshots.get(name))
+                for name in task_names}
+        records.append(MetricsRecord(epoch, task.name, accs, cum_ops))
+        if config.weight_source == "crossbar":
+            hist = ops_histogram([l.tile for l in mlp.layers])
+            hist_rows += [(epoch, *_hist_cells(*row)) for row in hist]
+        if log:
+            accs_s = " ".join(f"{n}={accs[n]:.2f}" for n in task_names)
+            log(f"epoch {epoch:3d} [{task.name} m*={m_eff:g}] {accs_s} ops={cum_ops}")
+        if last and config.per_task_bn:
             bn_snapshots[task.name] = mlp.bn_state()
 
-    write_metrics_csv(out / "metrics.csv", records, task_names)
+    _write_csv(out / "metrics.csv",
+               ["epoch", "task", *(f"acc_{n}" for n in task_names), "cum_ops"],
+               [(r.epoch, r.task, *(f"{r.accuracies[n]:.4f}" for n in task_names), r.cum_ops)
+                for r in records])
     save_checkpoint(out / "checkpoint.npz", config, mlp, adam, data_rng, device_rng,
-                    global_epoch, cum_ops, bn_snapshots=bn_snapshots)
+                    len(records), cum_ops, bn_snapshots=bn_snapshots)
     if config.weight_source == "crossbar":
         dump_tiles_tsv(out / "devices.tsv", [l.tile for l in mlp.layers])
         write_ops_histogram_csv(out / "ops_histogram.csv",
                                 hist or ops_histogram([l.tile for l in mlp.layers]))
-        (out / "ops_histogram_by_epoch.csv").write_text(
-            "\n".join(["epoch,ops_lo,ops_hi,pct_devices"] + hist_rows) + "\n")
+        _write_csv(out / "ops_histogram_by_epoch.csv", ["epoch", *_HIST_HEADER], hist_rows)
     result = RunResult(out, config, records, int(cum_ops))
     summary = {
         "wall_seconds": time.perf_counter() - started,
@@ -598,13 +603,14 @@ def run_repeated(config: ExperimentConfig, repeats, log=None):
         raise ConfigError("repeats must be >= 1")
     results = _run_each(config, [(f"rep{i}", {"seed": config.seed + i})
                                  for i in range(repeats)], log)
-    lines = ["task,final_mean,final_std,max_mean,max_std"]
+    rows = []
     for name in (t.name for t in config.tasks):
         finals = np.array([r.final_accuracy(name) for r in results])
         maxes = np.array([r.max_accuracy(name) for r in results])
-        lines.append(f"{name},{finals.mean():.4f},{finals.std():.4f},"
-                     f"{maxes.mean():.4f},{maxes.std():.4f}")
-    (Path(config.out_dir) / "summary.csv").write_text("\n".join(lines) + "\n")
+        rows.append([name] + [f"{v:.4f}" for v in (finals.mean(), finals.std(),
+                                                    maxes.mean(), maxes.std())])
+    _write_csv(Path(config.out_dir) / "summary.csv",
+               ["task", "final_mean", "final_std", "max_mean", "max_std"], rows)
     return results
 
 
@@ -613,28 +619,20 @@ def run_sweep(config: ExperimentConfig, m_values, log=None):
     values = list(m_values)
     if not values:
         raise ConfigError("sweep needs at least one m* value")
-    bad = [m for m in values if not (np.isfinite(m) and m >= 0)]
-    if bad:
-        raise ConfigError(f"sweep m* values must be finite and >= 0, got {bad}")
     names = [f"{m:g}" for m in values]
     if len(set(names)) != len(names):
         raise ConfigError(f"sweep m* values {names} name one run directory twice")
-    for m in values:  # each run's config (its plasticity slope), before any run starts
+    for m in values:  # each run's config (its m* and slope), before any run starts
         dataclasses.replace(config, m_star=float(m)).validate()
     results = _run_each(config, [(f"mstar_{name}", {"m_star": float(m)})
                                  for name, m in zip(names, values)], log)
     task_names = [t.name for t in config.tasks]
-    rows = []
-    for name, res in zip(names, results):
-        row = [name]
-        row += [f"{res.final_accuracy(n):.4f}" for n in task_names]
-        row += [f"{res.max_accuracy(n):.4f}" for n in task_names]
-        row.append(str(res.cum_ops))
-        rows.append(",".join(row))
-    header = ("m_star,"
-              + ",".join(f"final_acc_{n}" for n in task_names) + ","
-              + ",".join(f"max_acc_{n}" for n in task_names) + ",cum_ops")
-    (Path(config.out_dir) / "sweep.csv").write_text("\n".join([header] + rows) + "\n")
+    _write_csv(Path(config.out_dir) / "sweep.csv",
+               ["m_star", *(f"final_acc_{n}" for n in task_names),
+                *(f"max_acc_{n}" for n in task_names), "cum_ops"],
+               [(name, *(f"{res.final_accuracy(n):.4f}" for n in task_names),
+                 *(f"{res.max_accuracy(n):.4f}" for n in task_names), res.cum_ops)
+                for name, res in zip(names, results)])
     return results
 
 
@@ -676,6 +674,4 @@ def ops_histogram(source, bucket_width=5):
 
 
 def write_ops_histogram_csv(path, rows):
-    lines = ["ops_lo,ops_hi,pct_devices"]
-    lines += [_HIST_ROW.format(*row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, _HIST_HEADER, [_hist_cells(*row) for row in rows])

@@ -41,8 +41,10 @@ HALF_SPAN = N_LEVELS - 1  # signed levels run -8..+8
 
 
 def encode_levels(k):
-    """Signed level(s) -> (plus-cell level, minus-cell level), vectorized."""
+    """Signed level(s) -> (plus-cell level, minus-cell level), vectorized; bool is a TypeError."""
     k = np.asarray(k)
+    if k.dtype.kind == "b":
+        raise TypeError("signed levels must be integers, not bool")
     if k.size and (k.min() < -HALF_SPAN or k.max() > HALF_SPAN):
         raise ValueError(f"signed levels must lie in -{HALF_SPAN}..+{HALF_SPAN}")
     return np.maximum(k, 0), -np.minimum(k, 0)

@@ -22,6 +22,7 @@ from memqnn.harness import (
     run_sequential,
     run_sweep,
     save_checkpoint,
+    schedule,
     write_ops_histogram_csv,
 )
 from memqnn.xbar import CrossbarTile, dump_tiles_tsv
@@ -96,13 +97,20 @@ class TestConfig:
         for where in ("m_star", "task"):
             def cfg(m, dtype):
                 task_m = m if where == "task" else None
-                return ExperimentConfig(grid_source=grid_source, dtype=dtype,
+                return ExperimentConfig(grid_source=grid_source, dtype=dtype, pretrain_epochs=1,
                                         tasks=[TaskSpec("a", 1), TaskSpec("b", 1, m_star=task_m)],
                                         **({"m_star": m} if where == "m_star" else {}))
             cfg(1e300, "float64").validate()
             for m, dtype in ((1e300, "float32"), (1e308, "float64")):
                 with pytest.raises(ConfigError, match="overflows the plasticity slope"):
                     cfg(m, dtype).validate()
+
+    def test_pretraining_longer_than_first_task_rejected(self):
+        tasks = [TaskSpec("a", 2), TaskSpec("b", 5)]
+        ExperimentConfig(pretrain_epochs=2, tasks=tasks).validate()
+        with pytest.raises(ConfigError, match="pretrain_epochs 3 exceeds the 2 epochs"):
+            ExperimentConfig(pretrain_epochs=3, tasks=tasks).validate()
+        ExperimentConfig(pretrain_epochs=3, tasks=[]).validate()  # nothing to pretrain
 
     def test_level_spec_from_rows(self):
         cfg = ExperimentConfig(device_rows=[[k, 2.0 + 3 * k, 0.1] for k in range(9)])
@@ -202,13 +210,47 @@ class TestSequentialRun:
         evaluate(mlp, split, 256, bn_state=snap)
         assert np.array_equal(mlp.layers[0].bn.gamma, live_gamma)
 
-    def test_task_m_star_override(self, synth_data_dir, tmp_path):
-        # override m* per task; smoke only, the knob must be honored end to end
+    def test_task_m_star_override(self, synth_data_dir, tmp_path, monkeypatch):
+        # every step of an epoch trains at that epoch's m*: pretraining, a task's own, the config's
+        steps, real_step = [], harness.train_step
+
+        def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
+            steps.append(m_star)
+            return real_step(mlp, adam, x, y, m_star, lr, dgrid)
+
+        monkeypatch.setattr(harness, "train_step", train_step)
         cfg = synth_config(synth_data_dir, tmp_path / "o",
-                           tasks=[TaskSpec("synthA", 2, m_star=0.0),
-                                  TaskSpec("synthB", 1, m_star=5.0)])
+                           tasks=[TaskSpec("synthA", 2, m_star=5.0),
+                                  TaskSpec("synthB", 2, m_star=0.0),
+                                  TaskSpec("againA", 1, dataset="synthA")])
         res = run_sequential(cfg)
-        assert len(res.records) == 3
+        assert len(res.records) == 5
+        # every synthetic split has the same size, so the epochs split the steps evenly
+        per_epoch = [set(epoch.tolist()) for epoch in np.split(np.array(steps), 5)]
+        assert per_epoch == [{0.0}, {5.0}, {0.0}, {0.0}, {3.0}]
+
+
+class TestSchedule:
+    def test_epochs_tasks_m_stars_and_last_flags(self):
+        cfg = ExperimentConfig(m_star=3.0, pretrain_epochs=2,
+                               tasks=[TaskSpec("a", 3), TaskSpec("b", 2, m_star=0.0),
+                                      TaskSpec("c", 1, m_star=5.0), TaskSpec("d", 2)])
+        assert [(e, t.name, m, last) for e, t, m, last in schedule(cfg)] == [
+            (1, "a", 0.0, False), (2, "a", 0.0, False), (3, "a", 3.0, True),
+            (4, "b", 0.0, False), (5, "b", 0.0, True),
+            (6, "c", 5.0, True),
+            (7, "d", 3.0, False), (8, "d", 3.0, True),
+        ]
+
+    def test_pretraining_overrides_the_first_task_m_star(self):
+        tasks = [TaskSpec("a", 2, m_star=5.0), TaskSpec("b", 1)]
+        for pretrain, expected in ((0, [5.0, 5.0, 1.0]), (1, [0.0, 5.0, 1.0]),
+                                   (2, [0.0, 0.0, 1.0])):
+            cfg = ExperimentConfig(m_star=1.0, pretrain_epochs=pretrain, tasks=tasks)
+            assert [m for _, _, m, _ in schedule(cfg)] == expected
+
+    def test_empty_task_list_yields_nothing(self):
+        assert list(schedule(ExperimentConfig(pretrain_epochs=3, tasks=[]))) == []
 
 
 class TestCrossbarRun:

@@ -110,6 +110,18 @@ class TestWritePolicy:
         tile.write_levels(np.array([[3]]))
         assert tile.write_levels(np.array([[-3]])) == 2
 
+    @pytest.mark.parametrize("where", [None, [0, 1]])
+    def test_boolean_levels_program_nothing(self, dgrid, where):
+        rng = np.random.default_rng(0)
+        tile = CrossbarTile(1, 2, dgrid, rng)
+        before = rng.bit_generator.state
+        levels = np.array([[True, False]])
+        with pytest.raises(TypeError, match="bool"):
+            tile.write_levels(levels if where is None else levels.ravel(), where=where)
+        assert not tile.plus.ops.any() and not tile.minus.ops.any()
+        assert (tile.plus.level == -1).all() and (tile.minus.level == -1).all()
+        assert rng.bit_generator.state == before
+
     def test_shape_mismatch(self, dgrid):
         tile = CrossbarTile(2, 2, dgrid, np.random.default_rng(0))
         with pytest.raises(ValueError):

@@ -10,7 +10,9 @@ Builds the two synthetic IDX tasks the test suite uses, then runs:
     order, so a format change shows which arrays went and that the rest held;
   - ``run_sweep`` over m* = 0, 3 on the exact float32 config (``sweep.csv``);
   - ``run_repeated`` with 2 repeats on the crossbar float32 config
-    (``summary.csv``).
+    (``summary.csv``);
+  - one more exact float32 run, hashed like the first four, with per-task
+    m* (synthA at 0, synthB at 5) and ``per_task_bn=False``.
 
 One line per digest: ``<run> <file> <sha256>``, with ``<file>`` spelled
 ``checkpoint.npz:<array>`` for a checkpoint array. Two trees that print the
@@ -19,6 +21,7 @@ same lines produced the same bytes.
 Usage: PYTHONPATH=src python tools/run_digests.py
 """
 
+import dataclasses
 import hashlib
 import sys
 import tempfile
@@ -32,6 +35,7 @@ from conftest import make_synth_task  # noqa: E402
 from test_fused_step import _config  # noqa: E402
 
 from memqnn import harness  # noqa: E402
+from memqnn.data import TaskSpec  # noqa: E402
 
 RUN_FILES = ("metrics.csv", "run.json", "devices.tsv", "ops_histogram.csv",
              "ops_histogram_by_epoch.csv")
@@ -81,6 +85,12 @@ def main():
         harness.run_repeated(_config(data, work / "repeated", "crossbar", "float32"), 2)
         print("repeated-crossbar-float32-2 summary.csv",
               sha256((work / "repeated" / "summary.csv").read_bytes()))
+        label = "exact-float32-task-mstar-0,5-shared-bn"
+        harness.run_sequential(dataclasses.replace(
+            _config(data, work / label, "exact", "float32"), per_task_bn=False,
+            tasks=[TaskSpec("synthA", 2, m_star=0.0), TaskSpec("synthB", 1, m_star=5.0)]))
+        for name, digest in run_digests(work / label):
+            print(label, name, digest)
 
 
 if __name__ == "__main__":
