@@ -149,7 +149,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IdxFormatError, FileNotFoundError) as e:
+    except (ConfigError, IdxFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -123,18 +123,12 @@ class ExperimentConfig:
             problems.append(f"weight_source must be exact|crossbar, got {self.weight_source!r}")
         if self.weight_source == "crossbar" and self.grid_source != "device":
             problems.append("crossbar mode requires the device-derived grid")
-        if self.grid_source == "uniform":
-            if self.grid_levels < 2:
-                problems.append("grid_levels must be >= 2")
-            if not self.grid_lo < self.grid_hi:
-                problems.append("grid_lo must be < grid_hi")
-        if self.grid_source == "explicit":
-            if not self.grid_level_values or len(self.grid_level_values) < 2:
-                problems.append("grid_source=explicit needs grid_level_values (>= 2 levels)")
         m_stars = [("", self.m_star)] + [(f"task {t.name!r}: ", t.m_star)
                                           for t in self.tasks if t.m_star is not None]
         problems += [f"{label}m_star must be finite and >= 0, got {m}"
                      for label, m in m_stars if not (np.isfinite(m) and m >= 0)]
+        if self.seed < 0:  # SeedSequence takes non-negative entropy only
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if self.pretrain_epochs < 0:
             problems.append("pretrain_epochs must be >= 0")
         if self.tasks and self.pretrain_epochs > self.tasks[0].epochs:
@@ -163,8 +157,11 @@ class ExperimentConfig:
             problems.append(f"task names must be unique, got {names}")
         if problems:
             raise ConfigError("; ".join(problems))
+        try:  # the grid builders own the grid rules; a malformed entry raises in them
+            narrowest = build_grid(self)[0].widths.min()
+        except (TypeError, ValueError, OverflowError) as e:  # a ConfigError is a ValueError
+            raise ConfigError(f"grid_source {self.grid_source!r}: {e}") from None
         # the steepest plasticity slope, 2 * m* / (narrowest width), must be finite
-        narrowest = build_grid(self)[0].widths.min()
         with np.errstate(over="ignore"):
             problems = [f"{label}m_star {m} overflows the plasticity slope in {self.dtype}"
                         for label, m in m_stars
@@ -306,10 +303,10 @@ def _bind_tiles(config, mlp, dgrid, device_rng):
     """``mlp`` with one unprogrammed tile per layer bound in crossbar mode."""
     if config.weight_source == "crossbar":
         for layer in mlp.layers:
-            layer.bind_tile(CrossbarTile(*layer.shape, dgrid, device_rng,
-                                         endurance=config.endurance,
-                                         read_noise_sigma=config.read_noise_sigma,
-                                         dtype=config.dtype))
+            layer.tile = CrossbarTile(*layer.shape, dgrid, device_rng,
+                                      endurance=config.endurance,
+                                      read_noise_sigma=config.read_noise_sigma,
+                                      dtype=config.dtype)
     return mlp
 
 
@@ -547,7 +544,6 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
     records = []
     bn_snapshots = {}  # task name -> BN state frozen when its training ended
     hist_rows = []     # (epoch, lo, hi, pct) cells, crossbar only
-    hist = None        # the latest epoch's histogram
     started = time.perf_counter()
     for epoch, task, m_eff, last in schedule(config):
         for x, y in batches(splits["train"][task.name], config.batch_size, data_rng):
@@ -558,8 +554,8 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
                 for name in task_names}
         records.append(MetricsRecord(epoch, task.name, accs, cum_ops))
         if config.weight_source == "crossbar":
-            hist = ops_histogram([l.tile for l in mlp.layers])
-            hist_rows += [(epoch, *_hist_cells(*row)) for row in hist]
+            hist_rows += [(epoch, *_hist_cells(*row))
+                          for row in ops_histogram([l.tile for l in mlp.layers])]
         if log:
             accs_s = " ".join(f"{n}={accs[n]:.2f}" for n in task_names)
             log(f"epoch {epoch:3d} [{task.name} m*={m_eff:g}] {accs_s} ops={cum_ops}")
@@ -575,7 +571,7 @@ def run_sequential(config: ExperimentConfig, log=None) -> RunResult:
     if config.weight_source == "crossbar":
         dump_tiles_tsv(out / "devices.tsv", [l.tile for l in mlp.layers])
         write_ops_histogram_csv(out / "ops_histogram.csv",
-                                hist or ops_histogram([l.tile for l in mlp.layers]))
+                                ops_histogram([l.tile for l in mlp.layers]))
         _write_csv(out / "ops_histogram_by_epoch.csv", ["epoch", *_HIST_HEADER], hist_rows)
     result = RunResult(out, config, records, int(cum_ops))
     summary = {
@@ -665,12 +661,9 @@ def ops_histogram(source, bucket_width=5):
     """Histogram rows (bucket_lo, bucket_hi, percent of devices)."""
     if bucket_width < 1:
         raise ConfigError("bucket_width must be >= 1")
-    counts = read_ops_counts(source)
-    n_buckets = int(counts.max() // bucket_width) + 1
-    edges = np.arange(n_buckets + 1) * bucket_width
-    hist, _ = np.histogram(counts, bins=edges)
-    pct = 100.0 * hist / counts.size
-    return [(int(edges[i]), int(edges[i + 1]), float(pct[i])) for i in range(n_buckets)]
+    counts = read_ops_counts(source)  # a new array, so it is bucketed in place
+    pct = 100.0 * np.bincount(np.floor_divide(counts, bucket_width, out=counts)) / counts.size
+    return [(i * bucket_width, (i + 1) * bucket_width, float(p)) for i, p in enumerate(pct)]
 
 
 def write_ops_histogram_csv(path, rows):

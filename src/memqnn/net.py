@@ -12,7 +12,8 @@ shift plays that role on hidden layers.
 
 The ReLU is an in-place ``fmax(z, 0)``, not ``np.where`` on the mask ``z > 0``:
 a masked select runs a branchy per-element loop, over ten times the cost on
-a random mask. Its mask is built only when a tape records it.
+a random mask. Backward needs no mask of its own: the ReLU output, which the
+tape records as the next layer's input, is positive exactly where ``z > 0``.
 """
 
 from __future__ import annotations
@@ -169,16 +170,9 @@ class DenseLayer:
             self._slopes_m = m_star
         return self._slopes
 
-    def bind_tile(self, tile):
-        if tile.shape != self.w_hidden.shape:
-            raise ValueError(f"tile shape {tile.shape} != weight shape {self.w_hidden.shape}")
-        self.tile = tile
-
     def matmul_forward(self, x):
         if self.tile is not None:
             return self.tile.mvm_forward(x)
-        if x.shape[-1] != self.w_quant.shape[0]:
-            raise ValueError(f"input dim {x.shape[-1]} != fan-in {self.w_quant.shape[0]}")
         return x @ self.w_quant
 
     def matmul_backward(self, delta):
@@ -193,7 +187,6 @@ class ForwardTape:
 
     inputs: list = field(default_factory=list)       # activation fed to each layer
     bn_caches: list = field(default_factory=list)    # (xhat, var) per hidden layer
-    relu_masks: list = field(default_factory=list)   # post-BN positivity per hidden layer
     logits: np.ndarray | None = None
 
 
@@ -234,7 +227,6 @@ class MLP:
             zb, cache = layer.bn.forward(z, train)
             if tape is not None:
                 tape.bn_caches.append(cache)
-                tape.relu_masks.append(zb > 0)
             a = np.fmax(zb, 0.0, out=zb)  # NaN -> 0, as a masked select gives
             a += 0.0  # the -0.0 fmax may keep -> +0.0; every other value stays
         return a
@@ -263,7 +255,7 @@ class MLP:
         delta = self.layers[-1].matmul_backward(delta)
         for i in range(last - 1, -1, -1):
             layer = self.layers[i]
-            delta = delta * tape.relu_masks[i]
+            delta = delta * (tape.inputs[i + 1] > 0)  # the ReLU output, > 0 where zb > 0
             delta, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = layer.bn.backward(
                 delta, tape.bn_caches[i])
             grads[f"w{i}"] = tape.inputs[i].T @ delta

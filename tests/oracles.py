@@ -10,9 +10,12 @@ directions with one temporary per operation, a crossbar write that encodes and
 compares every pair, cell programming through boolean masks, the per-cell
 dump formatted from numpy scalars, the forward pass with its ReLU as a
 masked ``np.where`` and its batch norm from out-of-place temporaries, the
-evaluation pass as one serial loop over its batches, and a dataset split
-scaled to floats as one whole array (where a split keeps its 8-bit pixels
-and scales each batch). The shipped code must reproduce them bit for bit.
+backward pass gated on that mask (where the package reads the ReLU output
+the tape records), the evaluation pass as one serial loop over its batches,
+the op histogram through ``np.histogram`` on bucket edges (where the package
+counts bucket indices with ``np.bincount``), and a dataset split scaled to
+floats as one whole array (where a split keeps its 8-bit pixels and scales
+each batch). The shipped code must reproduce them bit for bit.
 """
 
 import warnings
@@ -21,6 +24,7 @@ import numpy as np
 
 from memqnn.device import N_LEVELS
 from memqnn.errors import ConfigError, EnduranceWarning
+from memqnn.net import ForwardTape, softmax_cross_entropy
 from memqnn.optim import bn_update
 from memqnn.xbar import HALF_SPAN
 
@@ -197,10 +201,11 @@ def reference_bn_forward(bn, x, train):
     return bn.gamma * xhat + bn.beta, None
 
 
-def reference_forward(mlp, x, train=False, tape=None):
+def reference_forward(mlp, x, train=False, tape=None, masks=None):
     """MLP.forward with the ReLU as a select on the positivity mask.
 
-    Same signature as the method, so it can stand in for ``MLP.forward``.
+    Same signature as the method, so it can stand in for ``MLP.forward``;
+    ``masks``, when given, collects each hidden layer's mask ``zb > 0``.
     """
     a = np.asarray(x, dtype=mlp.dtype)
     if a.ndim != 2 or a.shape[1] != mlp.dims[0]:
@@ -216,9 +221,28 @@ def reference_forward(mlp, x, train=False, tape=None):
         mask = zb > 0
         if tape is not None:
             tape.bn_caches.append(cache)
-            tape.relu_masks.append(mask)
+        if masks is not None:
+            masks.append(mask)
         a = np.where(mask, zb, 0.0)
     return a
+
+
+def reference_loss_grads(mlp, x, labels):
+    """MLP.loss_grads from reference_forward, backward gating each hidden
+    layer's error on its batch-norm output ``zb > 0``."""
+    tape, masks = ForwardTape(), []
+    loss, delta = softmax_cross_entropy(reference_forward(mlp, x, True, tape, masks), labels)
+    last = len(mlp.layers) - 1
+    grads = {f"w{last}": tape.inputs[-1].T @ delta}
+    delta = mlp.layers[-1].matmul_backward(delta)
+    for i in range(last - 1, -1, -1):
+        delta = delta * masks[i]
+        delta, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = mlp.layers[i].bn.backward(
+            delta, tape.bn_caches[i])
+        grads[f"w{i}"] = tape.inputs[i].T @ delta
+        if i > 0:
+            delta = mlp.layers[i].matmul_backward(delta)
+    return loss, grads
 
 
 def reference_images(split):
@@ -242,3 +266,12 @@ def reference_evaluate(mlp, split, eval_batch=1000, bn_state=None):
     finally:
         if live is not None:
             mlp.set_bn_state(live)
+
+
+def reference_ops_histogram(counts, bucket_width):
+    """harness.ops_histogram's rows for a flat array of op counts, from bucket edges."""
+    n_buckets = int(counts.max() // bucket_width) + 1
+    edges = np.arange(n_buckets + 1) * bucket_width
+    hist, _ = np.histogram(counts, bins=edges)
+    pct = 100.0 * hist / counts.size
+    return [(int(edges[i]), int(edges[i + 1]), float(pct[i])) for i in range(n_buckets)]

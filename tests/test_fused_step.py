@@ -28,6 +28,7 @@ from oracles import (
     reference_dump_tiles_tsv,
     reference_encode_levels,
     reference_forward,
+    reference_loss_grads,
     reference_metaplastic_update,
     reference_plasticity,
     reference_program,
@@ -642,13 +643,24 @@ def compare_forward(mlp, x, train, taped):
         assert all(same_bytes(u, v) for u, v in zip(a, b))
     if taped:
         ours, ref = tapes
-        for name in ("inputs", "relu_masks"):
-            assert len(getattr(ours, name)) == len(getattr(ref, name))
-            assert all(same_bytes(u, v) for u, v in zip(getattr(ours, name), getattr(ref, name)))
+        assert len(ours.inputs) == len(ref.inputs)
+        assert all(same_bytes(u, v) for u, v in zip(ours.inputs, ref.inputs))
         assert len(ours.bn_caches) == len(ref.bn_caches)
         for a, b in zip(ours.bn_caches, ref.bn_caches):
             assert (a is None) == (b is None) == (not train)
             assert a is None or all(same_bytes(u, v) for u, v in zip(a, b))
+
+
+def compare_backward(mlp, x, labels):
+    """Shipped and reference loss and gradients from the same BN state; compare bytes."""
+    state = mlp.bn_state()
+    with np.errstate(all="ignore"):
+        loss, grads, _ = mlp.loss_grads(x, labels)
+        mlp.set_bn_state(state)
+        want_loss, want = reference_loss_grads(mlp, x, labels)
+    assert same_bytes(loss, want_loss)
+    assert grads.keys() == want.keys()
+    assert all(same_bytes(grads[k], want[k]) for k in want)
 
 
 class TestForwardOracle:
@@ -701,6 +713,24 @@ class TestForwardOracle:
             for relu_out in tape.inputs[1:]:
                 assert not np.signbit(relu_out).any()
             compare_forward(mlp, x, train, taped=True)
+            if train:
+                compare_backward(mlp, x, np.arange(width) % 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.sampled_from(ODD_WIDTHS), min_size=3, max_size=4),
+           batch=st.sampled_from(ODD_WIDTHS), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from(DTYPES), frac=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_backward_gate_bit_equal(self, dims, batch, seed, dtype, frac):
+        """Backward gates each hidden layer on the taped ReLU output, as the reference
+        gates on ``zb > 0``: BN outputs with -0.0, NaN, +-inf and subnormals planted."""
+        rng = np.random.default_rng(seed)
+        mlp = uniform_mlp(dims, uniform_grid(17, -1.5, 1.5), rng, dtype=dtype)
+        for bn in mlp._bns():
+            bn.gamma[:] = rng.uniform(0.5, 1.5, bn.gamma.size)
+            bn.beta[:] = rng.normal(0.0, 0.5, bn.beta.size)
+            plant_specials(rng, bn, frac)
+        x = rng.normal(size=(batch, dims[0])).astype(dtype)
+        compare_backward(mlp, x, rng.integers(0, dims[-1], batch))
 
 
 # -- whole runs ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import re
 import zipfile
 
@@ -28,6 +30,7 @@ from memqnn.harness import (
 from memqnn.xbar import CrossbarTile, dump_tiles_tsv
 
 from conftest import make_synth_task, uniform_mlp, write_idx_images, write_idx_labels
+from oracles import reference_ops_histogram
 
 
 def synth_config(synth_data_dir, out_dir, **overrides):
@@ -471,6 +474,23 @@ class TestOpsHistogram:
         rows = ops_histogram(res.out_dir, bucket_width=5)
         assert sum(pct for _, _, pct in rows) == pytest.approx(100.0, abs=0.01)
 
+    @pytest.mark.parametrize("bucket_width", [1, 3, 5, 7])
+    def test_rows_equal_reference(self, bucket_width):
+        class Tile:  # all read_ops_counts asks of a tile
+            def __init__(self, ops):
+                self.ops = ops
+
+            def ops_per_cell(self):
+                return self.ops
+
+        rng = np.random.default_rng(bucket_width)
+        tiles = [Tile(rng.integers(0, 40, size)) for size in (50, 1, 7)]
+        tiles.append(Tile(np.array([0, 4 * bucket_width, 4 * bucket_width - 1])))
+        before = [t.ops.copy() for t in tiles]
+        want = reference_ops_histogram(np.concatenate(before), bucket_width)
+        assert ops_histogram(tiles, bucket_width) == want
+        assert all(np.array_equal(t.ops, b) for t, b in zip(tiles, before))
+
     def test_csv_written(self, tmp_path):
         rows = [(0, 5, 60.0), (5, 10, 40.0)]
         write_ops_histogram_csv(tmp_path / "h.csv", rows)
@@ -675,7 +695,16 @@ class TestCli:
                             (lambda d: d["tasks"][1].update(m_star=-1.0), "m_star"),
                             (lambda d: d["tasks"][1].update(m_star=float("nan")), "m_star"),
                             (lambda d: d.update(m_star=1e300), "m_star"),
-                            (lambda d: d["tasks"][1].update(m_star=1e300), "m_star")):
+                            (lambda d: d["tasks"][1].update(m_star=1e300), "m_star"),
+                            (lambda d: d.update(seed=-1), "seed"),
+                            (lambda d: d.update(grid_source="explicit",
+                                                grid_level_values=["a", "b"]), "grid_source"),
+                            (lambda d: d.update(grid_source="explicit",
+                                                grid_level_values=[10**400, 1]), "grid_source"),
+                            (lambda d: d.update(grid_source="device", device_rows=[[0, 1]]),
+                             "grid_source"),
+                            (lambda d: d.update(grid_source="device", device_rows=[1, 2, 3]),
+                             "grid_source")):
             payload = json.loads(cfg.to_json())
             edit(payload)
             texts.append((json.dumps(payload), named))
@@ -688,10 +717,24 @@ class TestCli:
         cfg_path.write_text(cfg.to_json())
         assert cli_main(["sweep", "--config", str(cfg_path), "--m-stars", "0,x"]) == 2
         assert capsys.readouterr().err.startswith("error: --m-stars")
+        assert cli_main(["train", "--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
         for repeats in ("0", "-1"):
             assert cli_main(["train", "--config", str(cfg_path), "--repeats", repeats]) == 2
             assert capsys.readouterr().err.startswith("error: repeats")
         assert not (tmp_path / "bad").exists()
+
+    def test_os_error_exit_code(self, synth_data_dir, tmp_path, capsys):
+        """A path the OS refuses is an ``error:`` line and exit 2, not a traceback."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(synth_config(synth_data_dir, tmp_path / "run").to_json())
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for argv, code in ((["eval", "--checkpoint", str(tmp_path)], errno.EISDIR),
+                           (["train", "--config", str(cfg_path), "--out", str(taken)],
+                            errno.EEXIST)):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: [Errno {code}] {os.strerror(code)}")
 
     @pytest.mark.parametrize("fault", ["bad magic", "no records"])
     def test_bad_data_exit_code(self, tmp_path, capsys, fault):

@@ -12,7 +12,9 @@ Builds the two synthetic IDX tasks the test suite uses, then runs:
   - ``run_repeated`` with 2 repeats on the crossbar float32 config
     (``summary.csv``);
   - one more exact float32 run, hashed like the first four, with per-task
-    m* (synthA at 0, synthB at 5) and ``per_task_bn=False``.
+    m* (synthA at 0, synthB at 5) and ``per_task_bn=False``;
+  - one more crossbar float32 run, hashed the same way, with
+    ``read_noise_sigma=0.5``: every tile product draws read noise.
 
 One line per digest: ``<run> <file> <sha256>``, with ``<file>`` spelled
 ``checkpoint.npz:<array>`` for a checkpoint array. Two trees that print the
@@ -89,6 +91,11 @@ def main():
         harness.run_sequential(dataclasses.replace(
             _config(data, work / label, "exact", "float32"), per_task_bn=False,
             tasks=[TaskSpec("synthA", 2, m_star=0.0), TaskSpec("synthB", 1, m_star=5.0)]))
+        for name, digest in run_digests(work / label):
+            print(label, name, digest)
+        label = "crossbar-float32-read-noise-0.5"
+        harness.run_sequential(dataclasses.replace(
+            _config(data, work / label, "crossbar", "float32"), read_noise_sigma=0.5))
         for name, digest in run_digests(work / label):
             print(label, name, digest)
 
