@@ -26,7 +26,7 @@ from .harness import (
 def _load_config(args):
     """The --config file (or preset) with every run option that was given applied."""
     if args.config:
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+        cfg = ExperimentConfig.from_json(Path(args.config).read_bytes())
     else:
         cfg = preset(args.preset)
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}

@@ -170,8 +170,6 @@ def load_idx(images_path, labels_path, name="", dtype=np.float32):
             f"{images_path}: {pixels.shape[0]} images but {labels.shape[0]} labels")
     if pixels.shape[0] == 0:
         raise ConfigError(f"{images_path}: no records")
-    if labels.size and labels.max() > 9:
-        raise ConfigError(f"{labels_path}: labels above 9 present")
     return DatasetSplit(pixels=pixels.reshape(pixels.shape[0], -1),
                         labels=labels.astype(np.int64), name=name, dtype=dtype)
 

@@ -155,6 +155,10 @@ class ExperimentConfig:
         names = [t.name for t in self.tasks]
         if len(set(names)) != len(names):
             problems.append(f"task names must be unique, got {names}")
+        bad = [n for n in names if not n or any(c in n for c in ',"\r\n')]
+        if bad:  # a name is a run-table column: acc_<name>
+            problems.append(f"task names must be non-empty, without comma, quote, CR or LF, "
+                            f"got {bad}")
         if problems:
             raise ConfigError("; ".join(problems))
         try:  # the grid builders own the grid rules; a malformed entry raises in them
@@ -191,16 +195,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text):
+        """A config from JSON text, or from bytes in a JSON encoding (UTF-8, -16 or -32)."""
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
         return cls.from_dict(d)
-
-    def level_spec(self):
-        if self.device_rows is not None:
-            return LevelSpec.from_rows(self.device_rows)
-        return default_levelspec(self.device_sigma_frac)
 
 
 # exact types, so that a JSON true is not taken for an int
@@ -274,7 +274,9 @@ def build_grid(config):
         return uniform_grid(config.grid_levels, config.grid_lo, config.grid_hi), None
     if config.grid_source == "explicit":
         return QuantGrid(config.grid_level_values), None
-    dgrid = derive_grid(config.level_spec(), config.target_max)
+    spec = (default_levelspec(config.device_sigma_frac) if config.device_rows is None
+            else LevelSpec.from_rows(config.device_rows))
+    dgrid = derive_grid(spec, config.target_max)
     return dgrid.grid, dgrid
 
 
@@ -618,6 +620,10 @@ def run_sweep(config: ExperimentConfig, m_values, log=None):
     names = [f"{m:g}" for m in values]
     if len(set(names)) != len(names):
         raise ConfigError(f"sweep m* values {names} name one run directory twice")
+    if all(epoch <= config.pretrain_epochs or task.m_star is not None
+           for epoch, task, _, _ in schedule(config)):
+        raise ConfigError("sweep: no epoch trains at the config's m*: every epoch after "
+                          "pretraining belongs to a task with its own m_star")
     for m in values:  # each run's config (its m* and slope), before any run starts
         dataclasses.replace(config, m_star=float(m)).validate()
     results = _run_each(config, [(f"mstar_{name}", {"m_star": float(m)})

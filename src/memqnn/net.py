@@ -56,13 +56,14 @@ _BN_FIELDS = ("gamma", "beta", "running_mean", "running_var")  # a bn_state() tu
 class BatchNorm:
     """Per-feature batch normalization with learnable gain and shift."""
 
-    def __init__(self, dim, eps=1e-5, momentum=0.1, dtype=np.float64):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, dim, dtype=np.float64):
         self.gamma = np.ones(dim, dtype=dtype)
         self.beta = np.zeros(dim, dtype=dtype)
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
-        self.eps = float(eps)
-        self.momentum = float(momentum)
 
     def forward(self, x, train):
         """Returns (output, cache); cache is None in eval mode."""
@@ -231,13 +232,6 @@ class MLP:
             a += 0.0  # the -0.0 fmax may keep -> +0.0; every other value stays
         return a
 
-    def forward_tape(self, x):
-        """Training-mode forward; returns (logits, tape)."""
-        tape = ForwardTape()
-        logits = self.forward(x, train=True, tape=tape)
-        tape.logits = logits
-        return logits, tape
-
     def backward(self, tape: ForwardTape, labels):
         """Loss and gradients w.r.t. quantized weights and BN parameters.
 
@@ -249,25 +243,24 @@ class MLP:
         if tape is None or tape.logits is None:
             raise RuntimeError("backward needs the tape of a training-mode forward pass")
         loss, delta = softmax_cross_entropy(tape.logits, labels)
-        last = len(self.layers) - 1
-        # output layer: input is the last recorded activation
-        grads = {f"w{last}": tape.inputs[-1].T @ delta}
-        delta = self.layers[-1].matmul_backward(delta)
-        for i in range(last - 1, -1, -1):
+        grads = {}
+        for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
-            delta = delta * (tape.inputs[i + 1] > 0)  # the ReLU output, > 0 where zb > 0
-            delta, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = layer.bn.backward(
-                delta, tape.bn_caches[i])
+            if layer.bn is not None:
+                delta = delta * (tape.inputs[i + 1] > 0)  # the ReLU output, > 0 where zb > 0
+                delta, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = layer.bn.backward(
+                    delta, tape.bn_caches[i])
             grads[f"w{i}"] = tape.inputs[i].T @ delta
-            if i > 0:
+            if i > 0:  # the input layer's input gradient is never used
                 delta = layer.matmul_backward(delta)
         return loss, grads
 
     def loss_grads(self, x, y):
-        """One supervised step's loss and gradients (train-mode forward inside)."""
-        logits, tape = self.forward_tape(x)
+        """One supervised step's loss, gradients and logits (train-mode forward inside)."""
+        tape = ForwardTape()
+        tape.logits = self.forward(x, train=True, tape=tape)
         loss, grads = self.backward(tape, y)
-        return loss, grads, logits
+        return loss, grads, tape.logits
 
     # -- state ----------------------------------------------------------------
 

@@ -167,16 +167,10 @@ class CrossbarTile:
 
     def mvm_forward(self, x):
         """x (.., rows) -> currents accumulated per column, in weight units."""
-        x = np.asarray(x)
-        if x.shape[-1] != self.rows:
-            raise ValueError(f"input length {x.shape[-1]} != tile rows {self.rows}")
         return x @ self.effective_weights(fresh_noise=True)
 
     def mvm_backward(self, delta):
         """delta (.., cols) -> transpose product, in weight units."""
-        delta = np.asarray(delta)
-        if delta.shape[-1] != self.cols:
-            raise ValueError(f"error length {delta.shape[-1]} != tile cols {self.cols}")
         return delta @ self.effective_weights(fresh_noise=True).T
 
     # -- accounting -------------------------------------------------------------

@@ -659,7 +659,7 @@ def compare_backward(mlp, x, labels):
         mlp.set_bn_state(state)
         want_loss, want = reference_loss_grads(mlp, x, labels)
     assert same_bytes(loss, want_loss)
-    assert grads.keys() == want.keys()
+    assert list(grads) == list(want)  # the same keys, in the same order
     assert all(same_bytes(grads[k], want[k]) for k in want)
 
 

@@ -15,6 +15,7 @@ from memqnn.data import TaskSpec, load_dataset
 from memqnn.errors import ConfigError
 from memqnn.harness import (
     ExperimentConfig,
+    build_grid,
     evaluate,
     ops_histogram,
     preset,
@@ -108,6 +109,13 @@ class TestConfig:
                 with pytest.raises(ConfigError, match="overflows the plasticity slope"):
                     cfg(m, dtype).validate()
 
+    @pytest.mark.parametrize("name", ["", "a,b", 'a"b', "a\rb", "a\nb"])
+    def test_task_names_fit_run_tables(self, name):
+        # a name heads the acc_<name> column of metrics.csv and sweep.csv
+        with pytest.raises(ConfigError, match="task names must be non-empty"):
+            ExperimentConfig(pretrain_epochs=0, tasks=[TaskSpec(name, 1)]).validate()
+        ExperimentConfig(pretrain_epochs=0, tasks=[TaskSpec("a b-é'", 1)]).validate()
+
     def test_pretraining_longer_than_first_task_rejected(self):
         tasks = [TaskSpec("a", 2), TaskSpec("b", 5)]
         ExperimentConfig(pretrain_epochs=2, tasks=tasks).validate()
@@ -116,12 +124,12 @@ class TestConfig:
         ExperimentConfig(pretrain_epochs=3, tasks=[]).validate()  # nothing to pretrain
 
     def test_level_spec_from_rows(self):
-        cfg = ExperimentConfig(device_rows=[[k, 2.0 + 3 * k, 0.1] for k in range(9)])
-        spec = cfg.level_spec()
+        cfg = ExperimentConfig(grid_source="device",
+                               device_rows=[[k, 2.0 + 3 * k, 0.1] for k in range(9)])
+        spec = build_grid(cfg)[1].spec
         assert spec.means[0] == 2.0 and spec.means[8] == 26.0
 
     def test_explicit_grid_levels(self, synth_data_dir, tmp_path):
-        from memqnn.harness import build_grid
         levels = [-1.0, -0.25, 0.0, 0.4, 1.2]
         cfg = synth_config(synth_data_dir, tmp_path / "e",
                            grid_source="explicit", grid_level_values=levels)
@@ -182,6 +190,19 @@ class TestSequentialRun:
         with pytest.raises(ConfigError, match="dims"):
             run_sequential(cfg)
         assert not (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_twelve_class_task_trains(self, tmp_path):
+        # any label count that fits dims loads; labels >= dims[-1] stay refused above
+        rng = np.random.default_rng(0)
+        task_dir = tmp_path / "data" / "twelve"
+        task_dir.mkdir(parents=True)
+        for part, n in (("train", 96), ("t10k", 48)):
+            write_idx_images(task_dir / f"{part}-images-idx3-ubyte",
+                             rng.integers(0, 256, size=(n, 8, 8)))
+            write_idx_labels(task_dir / f"{part}-labels-idx1-ubyte", np.arange(n) % 12)
+        res = run_sequential(synth_config(tmp_path / "data", tmp_path / "run", dims=(64, 16, 12),
+                                          tasks=[TaskSpec("twelve", 1)], pretrain_epochs=0))
+        assert [r.task for r in res.records] == ["twelve"]
 
     def test_missing_data_dir_fails(self, tmp_path):
         cfg = synth_config(tmp_path, tmp_path / "run")  # no datasets here
@@ -441,6 +462,25 @@ class TestSweep:
         with pytest.raises(ConfigError, match="m_star 1e\\+300 overflows"):
             run_sweep(synth_config(synth_data_dir, tmp_path / "v"), [0.0, 1e300])
         assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("tasks", [
+        [TaskSpec("synthA", 2, m_star=0.0), TaskSpec("synthB", 1, m_star=5.0)],
+        [TaskSpec("synthA", 1), TaskSpec("synthB", 1, m_star=5.0)],  # pretraining only
+        [],
+    ])
+    def test_sweep_needs_an_epoch_at_config_m_star(self, synth_data_dir, tmp_path, tasks):
+        cfg = synth_config(synth_data_dir, tmp_path / "m", tasks=tasks,
+                           pretrain_epochs=1 if tasks else 0)
+        with pytest.raises(ConfigError, match="no epoch trains at the config's m"):
+            run_sweep(cfg, [0.0, 3.0, 10.0])
+        assert not (tmp_path / "m").exists()
+
+    def test_sweep_with_one_epoch_at_config_m_star(self, synth_data_dir, tmp_path):
+        cfg = synth_config(synth_data_dir, tmp_path / "m", pretrain_epochs=1,
+                           tasks=[TaskSpec("synthA", 2), TaskSpec("synthB", 1, m_star=5.0)])
+        run_sweep(cfg, [0.0, 3.0])
+        rows = (tmp_path / "m" / "sweep.csv").read_text().strip().split("\n")[1:]
+        assert [r.split(",")[0] for r in rows] == ["0", "3"]
 
     def test_sweep_run_names_unique(self, synth_data_dir, tmp_path):
         with pytest.raises(ConfigError, match="twice"):
@@ -714,6 +754,11 @@ class TestCli:
             assert cli_main(["train", "--config", str(cfg_path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and named in err, text
+        # not UTF-8, and (after a UTF-16 byte-order mark) an odd byte count
+        for raw in ('{"seed": "\xe9"}'.encode("latin-1"), b"\xff\xfe{\xe9}"):
+            cfg_path.write_bytes(raw)
+            assert cli_main(["train", "--config", str(cfg_path)]) == 2
+            assert capsys.readouterr().err.startswith("error: config is not valid JSON")
         cfg_path.write_text(cfg.to_json())
         assert cli_main(["sweep", "--config", str(cfg_path), "--m-stars", "0,x"]) == 2
         assert capsys.readouterr().err.startswith("error: --m-stars")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from memqnn.net import MLP, BatchNorm, init_hidden_uniform, softmax_cross_entropy
+from memqnn.net import (MLP, BatchNorm, DenseLayer, init_hidden_uniform,
+                        softmax_cross_entropy)
 from memqnn.quantgrid import uniform_grid
 
 from conftest import uniform_mlp
@@ -140,6 +141,18 @@ class TestBackward:
                 want[f"bn{i}.gamma"] = want[f"bn{i}.beta"] = layer.bn.gamma.shape
         assert {name: g.shape for name, g in grads.items()} == want
 
+    @pytest.mark.parametrize("dims", [(16, 4), (16, 8, 4), (16, 8, 8, 4)])
+    def test_no_input_gradient_product(self, grid17, monkeypatch, dims):
+        # the input layer's error product would be thrown away (and draw read noise)
+        calls = []
+        matmul_backward = DenseLayer.matmul_backward
+        monkeypatch.setattr(DenseLayer, "matmul_backward",
+                            lambda layer, delta: calls.append(layer) or matmul_backward(layer, delta))
+        mlp = toy_net(grid17, dims=dims)
+        rng = np.random.default_rng(0)
+        mlp.loss_grads(rng.normal(size=(6, 16)), rng.integers(0, 4, 6))
+        assert calls == mlp.layers[:0:-1]  # one call per layer, last first, none for layer 0
+
     def test_separated_batch_has_vanishing_gradients(self, grid17):
         mlp = toy_net(grid17, dims=(4, 4))
         mlp.layers[0].set_hidden(np.eye(4) * 1.5)
@@ -159,8 +172,7 @@ class TestBackward:
         def loss_with(layer, i, j, value):
             old = layer.w_quant[i, j]
             layer.w_quant[i, j] = value
-            tape_logits, tape = mlp.forward_tape(x)
-            loss, _ = softmax_cross_entropy(tape_logits, y)
+            loss, _ = softmax_cross_entropy(mlp.forward(x, train=True), y)
             layer.w_quant[i, j] = old
             return loss
 
@@ -194,9 +206,9 @@ class TestBackward:
             for j in (0, 5, 11):
                 old = param[j]
                 param[j] = old + h
-                lp, _ = softmax_cross_entropy(mlp.forward_tape(x)[0], y)
+                lp, _ = softmax_cross_entropy(mlp.forward(x, train=True), y)
                 param[j] = old - h
-                lm, _ = softmax_cross_entropy(mlp.forward_tape(x)[0], y)
+                lm, _ = softmax_cross_entropy(mlp.forward(x, train=True), y)
                 param[j] = old
                 fd = (lp - lm) / (2 * h)
                 assert fd == pytest.approx(an[j], rel=1e-4, abs=1e-8)

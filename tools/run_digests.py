@@ -14,7 +14,11 @@ Builds the two synthetic IDX tasks the test suite uses, then runs:
   - one more exact float32 run, hashed like the first four, with per-task
     m* (synthA at 0, synthB at 5) and ``per_task_bn=False``;
   - one more crossbar float32 run, hashed the same way, with
-    ``read_noise_sigma=0.5``: every tile product draws read noise.
+    ``read_noise_sigma=0.5``: every tile product draws read noise;
+  - one more exact float64 run, hashed the same way, on the uneven 80-level
+    explicit grid ``1.5 * sinh(linspace(-2, 2, 80)) / sinh(2)``: projection
+    by binary search (grids above 64 levels) and per-weight plasticity
+    slopes without a tile.
 
 One line per digest: ``<run> <file> <sha256>``, with ``<file>`` spelled
 ``checkpoint.npz:<array>`` for a checkpoint array. Two trees that print the
@@ -69,6 +73,11 @@ def run_digests(out):
     yield from checkpoint_digests(out / "checkpoint.npz")
 
 
+def print_run(label, out):
+    for name, digest in run_digests(out):
+        print(label, name, digest)
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -79,8 +88,7 @@ def main():
             for dtype in ("float32", "float64"):
                 label = f"{mode}-{dtype}"
                 harness.run_sequential(_config(data, work / label, mode, dtype))
-                for name, digest in run_digests(work / label):
-                    print(label, name, digest)
+                print_run(label, work / label)
         harness.run_sweep(_config(data, work / "sweep", "exact", "float32"), [0.0, 3.0])
         print("sweep-exact-float32-mstar-0,3 sweep.csv",
               sha256((work / "sweep" / "sweep.csv").read_bytes()))
@@ -91,13 +99,17 @@ def main():
         harness.run_sequential(dataclasses.replace(
             _config(data, work / label, "exact", "float32"), per_task_bn=False,
             tasks=[TaskSpec("synthA", 2, m_star=0.0), TaskSpec("synthB", 1, m_star=5.0)]))
-        for name, digest in run_digests(work / label):
-            print(label, name, digest)
+        print_run(label, work / label)
         label = "crossbar-float32-read-noise-0.5"
         harness.run_sequential(dataclasses.replace(
             _config(data, work / label, "crossbar", "float32"), read_noise_sigma=0.5))
-        for name, digest in run_digests(work / label):
-            print(label, name, digest)
+        print_run(label, work / label)
+        label = "exact-float64-explicit-80"
+        levels = 1.5 * np.sinh(np.linspace(-2.0, 2.0, 80)) / np.sinh(2.0)
+        harness.run_sequential(dataclasses.replace(
+            _config(data, work / label, "exact", "float64"), grid_source="explicit",
+            grid_level_values=levels.tolist()))
+        print_run(label, work / label)
 
 
 if __name__ == "__main__":
