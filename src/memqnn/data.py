@@ -1,19 +1,22 @@
 """MNIST / Fashion-MNIST ingestion (IDX format), batching and task specs.
 
 Files are the standard big-endian IDX payloads, optionally gzip-compressed
-(sniffed from the two magic bytes, not the filename). A split holds the
-payload's 8-bit pixels as read, a quarter of a float32 copy and an eighth of
-a float64 one; each batch is scaled to the run dtype when it is taken, with
-the bits a whole-split conversion would give. Nothing is ever downloaded
-implicitly; ``fetch_dataset`` exists for explicit retrieval and doubles as
-an offline checksum verifier for files already in place.
+(sniffed from the two magic bytes, not the filename); an uncompressed file is
+mapped read-only, not copied. A split holds the payload's 8-bit pixels as
+read, a quarter of a float32 copy and an eighth of a float64 one; each batch
+is scaled to the run dtype when it is taken, with the bits a whole-split
+conversion would give. Nothing is ever downloaded implicitly;
+``fetch_dataset`` exists for explicit retrieval and doubles as an offline
+checksum verifier for files already in place.
 """
 
 from __future__ import annotations
 
 import gzip
 import hashlib
+import mmap
 import os
+import stat
 import struct
 import urllib.request
 from dataclasses import dataclass
@@ -124,12 +127,22 @@ class TaskSpec:
 
 
 def _read_bytes(path):
+    """The file's payload: a read-only map of a plain regular file, else its bytes.
+
+    A map keeps the pixels off the heap and costs no copy; it holds its own
+    handle on the file, so it outlives an unlink but not a truncation. gzip
+    files are read into memory, as are files too short to sniff and
+    non-regular files.
+    """
     with open(path, "rb") as f:
         head = f.read(2)
-        f.seek(0)
         if head == b"\x1f\x8b":
+            f.seek(0)
             with gzip.open(f) as gz:
                 return gz.read()
+        if len(head) == 2 and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        f.seek(0)
         return f.read()
 
 

@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import optim
 from .data import TaskSpec, batches, load_dataset
 from .device import LevelSpec, default_levelspec
 from .errors import ConfigError
@@ -383,14 +384,30 @@ def evaluate(mlp, split, eval_batch=1000, bn_state=None):
 
 
 def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
-    """One optimizer step; returns (loss, programming ops this step)."""
+    """One optimizer step; returns (loss, programming ops this step).
+
+    The compiled step (``optim._fused_update``) updates every layer it takes,
+    Adam moments included; ``Adam.directions`` and ``metaplastic_update`` do
+    the batch norms and any other layer, with the same bits. A
+    ``metaplastic_update`` replaced in this module (a timing wrapper, a
+    stand-in) is called for every layer instead, so it sees every update.
+    """
     loss, grads, _ = mlp.loss_grads(x, y)
-    u = adam.directions(grads)
+    lib = optim._step_library() if metaplastic_update is optim.metaplastic_update else None
+    fused = set()
+    if lib is not None:
+        adam._slots(grads)  # every slot, made in grads order as directions would make them
+        fused = {f"w{i}" for i, layer in enumerate(mlp.layers)
+                 if optim._fusable(layer, grads[f"w{i}"], *adam.slots[f"w{i}"])}
+    u = adam.directions({name: g for name, g in grads.items() if name not in fused})
     ops = 0
     for i, layer in enumerate(mlp.layers):
-        w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"], mlp.grid,
-                                   m_star, lr, slopes=layer.side_slopes(m_star))
-        moved = layer.set_hidden(w_new)
+        if f"w{i}" in fused:
+            moved = optim._fused_update(lib, layer, adam, f"w{i}", grads[f"w{i}"], m_star, lr)
+        else:
+            w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"], mlp.grid,
+                                       m_star, lr, slopes=layer.side_slopes(m_star))
+            moved = layer.set_hidden(w_new)
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)
         if layer.tile is not None:

@@ -120,6 +120,7 @@ class DenseLayer:
         self._bounds = grid.level_bounds(self.level_idx, w.dtype)  # (lo, hi] of each level
         self._slopes_m = None  # the m* that _slopes were built for
         self._slopes = None
+        self._work = None  # the compiled step's buffers (_step_buffers)
 
     @property
     def shape(self):
@@ -142,7 +143,15 @@ class DenseLayer:
         lo, hi = self._bounds
         inside = w > lo
         inside &= w <= hi
-        moved = np.flatnonzero(~inside)  # NaN compares false: it moves, and project raises
+        return self._relevel(w, np.flatnonzero(~inside))  # NaN compares false: it moves
+
+    def _relevel(self, w, moved):
+        """Make ``w`` the hidden weights, re-projecting the flat indices ``moved``.
+
+        ``moved`` must hold (ascending) every weight of ``w`` outside its
+        level's interval; it is returned. A non-finite weight among them makes
+        ``project`` raise ``FloatingPointError`` before the layer changes.
+        """
         idx, w_quant = self.grid.project(np.take(w, moved))
         np.put(self.level_idx, moved, idx)
         np.put(self.w_quant, moved, w_quant)
@@ -154,6 +163,22 @@ class DenseLayer:
                 np.put(slope, moved, new)
         self.w_hidden = w
         return moved
+
+    def _step_buffers(self):
+        """The compiled step's (new weights, tanh scratch, moved indices) buffers.
+
+        Made at the layer's first compiled step, and again should the hidden
+        weights' shape or dtype change. The new weights go to whichever of two
+        buffers the hidden weights are not, so the buffers swap roles each
+        step and an array handed to the layer is never written.
+        """
+        w = self.w_hidden
+        made = self._work and self._work[1]
+        if made is None or (made.shape, made.dtype) != (w.shape, w.dtype):
+            self._work = ([np.empty_like(w), np.empty_like(w)], np.empty_like(w),
+                          np.empty(w.size, dtype=np.int64))
+        pair, scratch, index = self._work
+        return pair[w is pair[0]], scratch, index
 
     def side_slopes(self, m_star):
         """Every weight's ``grid.side_slopes`` for ``m_star``, kept by the layer.

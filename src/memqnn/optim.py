@@ -15,13 +15,28 @@ keeps them current instead of gathering them every step. The layer then
 re-projects only the weights that left their level (``DenseLayer.set_hidden``),
 so a step costs a fixed number of passes over the weights plus work
 proportional to the level flips.
+
+The same step also exists compiled (``_step.c``): per layer, one loop for the
+Adam moments and the tanh argument, numpy's ``tanh`` in place, and one loop
+for the step, the clip and the interval compare; at m* = 0 a single loop.
+It computes the bits of the numpy functions here, which stay as its fallback
+where no C compiler is found, and for layers it does not take.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+import warnings
+from pathlib import Path
+
 import numpy as np
 
-from .quantgrid import QuantGrid
+from .quantgrid import QuantGrid, check_m_star
 
 __all__ = ["Adam", "metaplastic_update", "bn_update"]
 
@@ -42,17 +57,13 @@ class Adam:
         self.slots = {}
 
     def directions(self, grads):
+        slots = self._slots(grads)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         out = {}
-        for name, g in grads.items():
-            if name not in self.slots:
-                self.slots[name] = (np.zeros_like(g), np.zeros_like(g))
-            m, v = self.slots[name]
-            if m.shape != g.shape:
-                raise ValueError(f"gradient shape {g.shape} != slot shape {m.shape} for {name!r}")
+        for (name, g), (m, v) in zip(grads.items(), slots):
             # same operations, in the same order, as
             # m_hat / (sqrt(v_hat) + eps), through one scratch array
             tmp = (1.0 - b1) * g
@@ -69,6 +80,21 @@ class Adam:
             d /= tmp
             out[name] = d
         return out
+
+    def _slots(self, grads):
+        """The (m, v) slot of each gradient, in ``grads`` order; missing ones are made.
+
+        Every shape is checked before a slot is made, so a refused call
+        changes nothing.
+        """
+        for name, g in grads.items():
+            if name in self.slots and self.slots[name][0].shape != np.shape(g):
+                raise ValueError(f"gradient shape {np.shape(g)} != slot shape "
+                                 f"{self.slots[name][0].shape} for {name!r}")
+        for name, g in grads.items():
+            if name not in self.slots:
+                self.slots[name] = (np.zeros_like(g), np.zeros_like(g))
+        return [self.slots[name] for name in grads]
 
     def state_dict(self):
         """Step counter and moment slots; the hyperparameters stay with the caller."""
@@ -130,3 +156,104 @@ def bn_update(bn, u_gamma, u_beta, lr):
         raise ValueError("batch-norm update shape mismatch")
     bn.gamma -= lr * u_gamma
     bn.beta -= lr * u_beta
+
+
+# -- the compiled step -------------------------------------------------------------
+
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+_lib = None  # the loaded _step.c; False once it could not be built
+_build_lock = threading.Lock()
+
+
+def _step_library():
+    """The compiled step, built from ``_step.c`` at the first call; None without one.
+
+    The system ``cc`` builds it into a private directory, removed as soon as
+    the library is loaded: nothing is cached on disk, and every process builds
+    for its own CPU. Without ``cc`` the numpy path runs; a ``cc`` that fails
+    gives one ``RuntimeWarning`` and the numpy path runs too.
+    """
+    global _lib
+    with _build_lock:
+        if _lib is None:
+            _lib = _build_step() or False
+    return _lib or None
+
+
+def _build_step():
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    tmp = tempfile.mkdtemp(prefix="memqnn-step-")
+    try:
+        so = os.path.join(tmp, "_step.so")
+        done = subprocess.run([cc, *_CFLAGS, "-o", so, str(Path(__file__).with_name("_step.c"))],
+                              capture_output=True, text=True)
+        if done.returncode:
+            raise OSError(done.stderr.strip())
+        lib = ctypes.CDLL(so)
+    except OSError as e:
+        warnings.warn(f"the compiled step did not build, numpy runs the update: {e}",
+                      RuntimeWarning, stacklevel=4)
+        return None
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    for loop in ("f32", "f64"):  # a weight count, then pointers; step2 and step0 count moves
+        for step, arrays, restype in (("step1", 10, None), ("step2", 7, ctypes.c_int64),
+                                      ("step0", 9, ctypes.c_int64)):
+            fn = getattr(lib, f"{step}_{loop}")
+            fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * arrays
+            fn.restype = restype
+    return lib
+
+
+def _fusable(layer, g, m, v):
+    """Whether the compiled step takes this layer: C-contiguous float32 or float64
+    hidden weights, and the gradient, moments and level state like them.
+
+    The level indices must be C-contiguous too: the slopes gathered by them
+    take their layout.
+    """
+    w = layer.w_hidden
+    return w.dtype in (np.float32, np.float64) and layer.level_idx.flags.c_contiguous and all(
+        a.dtype == w.dtype and a.shape == w.shape and a.flags.c_contiguous
+        for a in (w, g, m, v, layer.w_quant, *layer._bounds))
+
+
+def _fused_update(lib, layer, adam, name, g, m_star, lr):
+    """Adam on slot ``name``, ``metaplastic_update`` and ``set_hidden``, compiled.
+
+    ``adam.t`` must already count this step (``Adam.directions`` advances it).
+    Returns the flat indices whose level changed, as ``set_hidden`` does; they
+    stay valid until the layer's next step. A non-finite new weight raises
+    ``FloatingPointError`` and leaves the layer as it was, its moments updated.
+    """
+    m, v = adam.slots[name]
+    slopes = layer.side_slopes(m_star)
+    w, grid, (lo, hi) = layer.w_hidden, layer.grid, layer._bounds
+    out, arg, index = layer._step_buffers()
+    up = neg_lower = None  # per-weight slopes; a grid of equal widths passes its one in k
+    slope = 0.0
+    if m_star != 0.0:
+        check_m_star(m_star)
+        if np.ndim(slopes[0]):
+            up, neg_lower = slopes
+        else:
+            slope = slopes[0]
+    k = np.array([adam.beta1, 1.0 - adam.beta1, adam.beta2, 1.0 - adam.beta2,
+                  1.0 - adam.beta1 ** adam.t, 1.0 - adam.beta2 ** adam.t, adam.eps, lr,
+                  m_star, slope, grid.hidden_lo, grid.hidden_hi], dtype=np.float64)
+    loop = "f32" if w.dtype == np.float32 else "f64"
+    if m_star == 0.0:
+        count = _run(lib, "step0", loop, w.size, g, m, v, w, out, lo, hi, index, k)
+    else:
+        _run(lib, "step1", loop, w.size, g, m, v, w, layer.w_quant, up, neg_lower, arg, out, k)
+        np.tanh(arg, out=arg)
+        count = _run(lib, "step2", loop, w.size, w, arg, out, lo, hi, index, k)
+    return layer._relevel(out, index[:count])
+
+
+def _run(lib, step, loop, n, *arrays):
+    """Call the library's ``<step>_<loop>`` on ``n`` weights; None passes a null pointer."""
+    return getattr(lib, f"{step}_{loop}")(n, *(None if a is None else a.ctypes.data
+                                                for a in arrays))

@@ -17,6 +17,14 @@ from .errors import ConfigError
 __all__ = ["QuantGrid", "uniform_grid"]
 
 
+def check_m_star(m_star):
+    """``m_star`` as a float; ConfigError unless it is finite and >= 0."""
+    m = float(m_star)
+    if not np.isfinite(m) or m < 0:
+        raise ConfigError(f"m_star must be finite and >= 0, got {m}")
+    return m
+
+
 class QuantGrid:
     """Strictly increasing weight levels plus interval metadata.
 
@@ -126,9 +134,7 @@ class QuantGrid:
         is exactly 1 wherever ``u * (w_hidden - w_quant) < 0`` does not hold,
         i.e. where a step along ``-u`` is not carrying the weight away.
         """
-        m = float(m_star)
-        if not np.isfinite(m) or m < 0:
-            raise ConfigError(f"m_star must be finite and >= 0, got {m}")
+        m = check_m_star(m_star)
         w = np.asarray(w_hidden)
         dt = w.dtype if w.dtype.kind == "f" else np.dtype(np.float64)
         if w_quant is None or (slopes is None and level_idx is None):

@@ -1,4 +1,6 @@
 import gzip
+import mmap
+import os
 import struct
 
 import numpy as np
@@ -72,6 +74,15 @@ class TestLoadIdx:
         bad.write_bytes(ip.read_bytes()[:-5])
         with pytest.raises(IdxFormatError):
             load_idx(bad, lp)
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_empty_and_one_byte_files_refused(self, fixture_pair, tmp_path, size):
+        _, lp, _, _ = fixture_pair
+        bad = tmp_path / "short"
+        bad.write_bytes(b"\x00" * size)
+        with pytest.raises(IdxFormatError, match="truncated header") as e:
+            load_idx(bad, lp)
+        assert e.value.offset == size
 
     def test_count_mismatch(self, fixture_pair, tmp_path):
         ip, lp, _, _ = fixture_pair
@@ -172,6 +183,32 @@ class TestEightBitSplit:
         assert np.array_equal(split.pixels, imgs.reshape(41, 35))
         arrays = [v for v in vars(split).values() if isinstance(v, np.ndarray)]
         assert sum(a.nbytes for a in arrays) == 41 * 35 + split.labels.nbytes
+
+    def test_plain_file_is_mapped_not_copied(self, every_value_pair):
+        ip, lp, imgs = every_value_pair
+        split = load_idx(ip, lp)
+        base = split.pixels
+        while isinstance(base, np.ndarray):
+            base = base.base
+        mapped = isinstance(getattr(base, "obj", None), mmap.mmap)  # a memoryview of the map
+        assert mapped == (ip.read_bytes()[:2] != b"\x1f\x8b")
+        assert not split.pixels.flags.writeable
+
+    def test_mapped_split_outlives_its_file(self, every_value_pair):
+        ip, lp, imgs = every_value_pair
+        split = load_idx(ip, lp)
+        os.unlink(ip)
+        os.unlink(lp)
+        assert np.array_equal(split.pixels, imgs.reshape(41, 35))
+
+    def test_dropped_splits_close_their_files(self, every_value_pair):
+        ip, lp, _ = every_value_pair
+        load_idx(ip, lp)  # warm-up: imports and caches that open files of their own
+        before = len(os.listdir("/proc/self/fd"))
+        splits = [load_idx(ip, lp) for _ in range(50)]
+        assert all(s.pixels.sum() == splits[0].pixels.sum() for s in splits)
+        del splits
+        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_batches_match_the_float_path(self, synth_data_dir, dtype):

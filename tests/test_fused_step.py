@@ -1,10 +1,15 @@
 """The fused consolidation step and the forward pass against their oracles (tests/oracles.py).
 
-Every comparison is on bytes: values, dtype and shape, so a -0.0 for a 0.0
-or a changed RNG draw order fails as loudly as a wrong level.
+The compiled step (``_step.c``) is compared with the numpy path it stands in
+for, with and without a C compiler. Every comparison is on bytes: values,
+dtype and shape, so a -0.0 for a 0.0 or a changed RNG draw order fails as
+loudly as a wrong level.
 """
 
+import ctypes
 import hashlib
+import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -12,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memqnn import harness, xbar
+from memqnn import harness, optim, xbar
 from memqnn.data import TaskSpec
 from memqnn.device import CellArray, LevelSpec, N_LEVELS, default_levelspec
-from memqnn.net import MLP, DenseLayer, ForwardTape
+from memqnn.errors import ConfigError
+from memqnn.net import MLP, DenseLayer, ForwardTape, init_hidden_uniform
 from memqnn.optim import Adam, metaplastic_update
 from memqnn.quantgrid import QuantGrid, uniform_grid
 from memqnn.xbar import HALF_SPAN, CrossbarTile, derive_grid, dump_tiles_tsv, encode_levels
@@ -731,6 +737,221 @@ class TestForwardOracle:
             plant_specials(rng, bn, frac)
         x = rng.normal(size=(batch, dims[0])).astype(dtype)
         compare_backward(mlp, x, rng.integers(0, dims[-1], batch))
+
+
+# -- the compiled step against the numpy path -------------------------------------
+
+
+@pytest.fixture(scope="module")
+def step_lib():
+    lib = optim._step_library()
+    if lib is None:
+        pytest.skip("no C compiler: the numpy path is the only step")
+    return lib
+
+
+def numpy_step(layer, adam, g, m_star, lr):
+    u = adam.directions({"w": g})["w"]
+    return layer.set_hidden(metaplastic_update(layer.w_hidden, layer.w_quant, u, layer.grid,
+                                               m_star, lr, slopes=layer.side_slopes(m_star)))
+
+
+def compiled_step(lib, layer, adam, g, m_star, lr):
+    adam._slots({"w": g})
+    adam.directions({})  # counts the step, as train_step's batch-norm call does
+    assert optim._fusable(layer, g, *adam.slots["w"])
+    return optim._fused_update(lib, layer, adam, "w", g, m_star, lr)
+
+
+def outcome(step, *args):
+    """The moved indices (as bytes), or the type of the error raised."""
+    try:
+        with np.errstate(all="ignore"):  # NaN and inf gradients
+            return np.asarray(step(*args)).tobytes()
+    except (FloatingPointError, ConfigError) as e:
+        return type(e)
+
+
+def assert_same_state(a, b, adam_a, adam_b):
+    for attr in ("w_hidden", "w_quant", "level_idx"):
+        assert same_bytes(getattr(a, attr), getattr(b, attr)), attr
+    for x, y in zip(a._bounds, b._bounds):
+        assert same_bytes(x, y)
+    assert a._slopes_m == b._slopes_m
+    if a._slopes is not None:
+        for x, y in zip(a._slopes, b._slopes):
+            assert same_bytes(x, y)
+    assert adam_a.t == adam_b.t
+    for x, y in zip(adam_a.slots["w"], adam_b.slots["w"]):
+        assert same_bytes(x, y)
+
+
+def gradient(rng, dtype, shape, specials):
+    g = (rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 1)).astype(dtype)
+    if specials:
+        pick = rng.random(shape) < 0.02
+        g[pick] = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.0], dtype=dtype), pick.sum())
+    return g
+
+
+def twin_layers(grid, w):
+    return DenseLayer(w.copy(), grid), DenseLayer(w.copy(), grid)
+
+
+class TestCompiledStep:
+    """``optim._fused_update`` against Adam.directions + metaplastic_update + set_hidden."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid=grids(), seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
+           shape=st.sampled_from([(0,), (0, 4), (1,), (1, 1), (7, 13), (65, 3), (3, 130)]),
+           m_stars=st.lists(st.sampled_from([0.0, 0.3, 1.0, 3.0, 10.0]), min_size=1,
+                            max_size=3),
+           lr=st.sampled_from([0.0, 1e-3, 0.05, 2.0]), specials=st.booleans())
+    def test_steps_bit_equal_numpy_path(self, step_lib, grid, seed, dtype, shape, m_stars, lr,
+                                        specials):
+        rng = np.random.default_rng(seed)
+        ours, theirs = twin_layers(grid, grid.clip_hidden(hidden_weights(rng, grid, dtype, shape)))
+        adam_ours, adam_theirs = Adam(), Adam()
+        for m_star in m_stars:
+            g = gradient(rng, dtype, shape, specials)
+            got = outcome(compiled_step, step_lib, ours, adam_ours, g, m_star, lr)
+            want = outcome(numpy_step, theirs, adam_theirs, g, m_star, lr)
+            assert got == want
+            assert_same_state(ours, theirs, adam_ours, adam_theirs)
+            if not isinstance(want, bytes):
+                break
+
+    def test_non_finite_weight_raises_and_leaves_layer(self, step_lib):
+        grid = uniform_grid(17, -1.5, 1.5)
+        for dtype in DTYPES:
+            for m_star in (0.0, 3.0):
+                layer = DenseLayer(np.linspace(-1.6, 1.6, 12, dtype=dtype).reshape(3, 4), grid)
+                before = [a.copy() for a in (layer.w_hidden, layer.w_quant, layer.level_idx)]
+                g = np.ones((3, 4), dtype=dtype)
+                g[1, 2] = np.nan
+                with pytest.raises(FloatingPointError):
+                    compiled_step(step_lib, layer, Adam(), g, m_star, 0.05)
+                after = (layer.w_hidden, layer.w_quant, layer.level_idx)
+                assert all(same_bytes(a, b) for a, b in zip(after, before))
+
+    def test_steps_across_m_star_changes(self, step_lib):
+        """Slopes are built, patched at each flip, rebuilt for a new m* and freed at 0."""
+        rng = np.random.default_rng(5)
+        for grid in (derive_grid(default_levelspec()).grid, uniform_grid(9, -1.0, 1.0)):
+            for dtype in DTYPES:
+                ours, theirs = twin_layers(grid, grid.clip_hidden(
+                    hidden_weights(rng, grid, dtype, (40, 30))))
+                adam_ours, adam_theirs = Adam(), Adam()
+                flips = 0
+                for m_star in (0.0, 0.0, 3.0, 3.0, 3.0, 5.0, 5.0, 0.0, 2.0, 2.0):
+                    g = gradient(rng, dtype, ours.shape, False)
+                    moved = compiled_step(step_lib, ours, adam_ours, g, m_star, 0.05)
+                    assert same_bytes(moved, numpy_step(theirs, adam_theirs, g, m_star, 0.05))
+                    assert_same_state(ours, theirs, adam_ours, adam_theirs)
+                    flips += moved.size
+                assert flips > 0
+
+    def test_handed_weights_never_written(self, step_lib):
+        grid = uniform_grid(17, -1.5, 1.5)
+        w = np.linspace(-1.6, 1.6, 60).reshape(6, 10)
+        kept = w.copy()
+        layer, adam = DenseLayer(w, grid), Adam()
+        seen = []
+        for step in range(4):
+            compiled_step(step_lib, layer, adam, np.full((6, 10), 0.1), 3.0, 0.05)
+            seen.append(layer.w_hidden)
+        assert same_bytes(w, kept)
+        assert seen[0] is not seen[1] and seen[2] is seen[0]  # two buffers, swapped
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(np.asfortranarray, id="fortran"),
+        pytest.param(lambda w: np.repeat(w, 2, axis=1)[:, ::2], id="sliced"),
+    ])
+    def test_layers_it_does_not_take_run_numpy(self, step_lib, monkeypatch, make):
+        """A first layer it does not take steps in numpy, with the bits of the numpy path.
+
+        That numpy step leaves C-contiguous weights, so the compiled step
+        takes the layer from its second step on.
+        """
+        grid = uniform_grid(17, -1.5, 1.5)
+        rng = np.random.default_rng(8)
+        hidden = [init_hidden_uniform(s, grid, rng) for s in ((6, 5), (5, 3))]
+
+        def run():
+            first = make(hidden[0])
+            mlp = MLP([first, hidden[1].astype(first.dtype)], grid)
+            adam, data = Adam(), np.random.default_rng(9)
+            for m_star in (0.0, 3.0, 3.0):
+                harness.train_step(mlp, adam, data.normal(size=(8, 6)), data.integers(0, 3, 8),
+                                   m_star, 0.05)
+            return mlp, adam
+
+        fused = []
+        real = optim._fused_update
+        monkeypatch.setattr(optim, "_fused_update",
+                            lambda lib, layer, *a: fused.append(layer) or real(lib, layer, *a))
+        mlp, adam = run()
+        assert [layer is mlp.layers[0] for layer in fused] == [False, True, False, True, False]
+        monkeypatch.setattr(optim, "_step_library", lambda: None)
+        plain, plain_adam = run()
+        for a, b in zip(mlp.layers, plain.layers):
+            assert same_bytes(a.w_hidden, b.w_hidden) and same_bytes(a.level_idx, b.level_idx)
+        state, plain_state = adam.state_dict(), plain_adam.state_dict()
+        assert list(state) == list(plain_state)
+        assert all(same_bytes(state[k], plain_state[k]) for k in state)
+
+    def test_float16_layer_not_taken(self):
+        layer = DenseLayer(np.linspace(-1, 1, 12, dtype=np.float16).reshape(3, 4),
+                           uniform_grid(17, -1.5, 1.5))
+        g = np.ones((3, 4), np.float16)
+        assert not optim._fusable(layer, g, np.zeros_like(g), np.zeros_like(g))
+
+    def test_slots_keep_their_order(self, step_lib):
+        """The checkpoint lists Adam's slots in the order the numpy path made them."""
+        grid = uniform_grid(17, -1.5, 1.5)
+        mlp = uniform_mlp((6, 5, 4, 3), grid, np.random.default_rng(1), dtype=np.float32)
+        adam = Adam()
+        harness.train_step(mlp, adam, np.ones((4, 6), np.float32), np.arange(4) % 3, 3.0, 0.05)
+        assert list(adam.slots) == ["w2", "bn1.gamma", "bn1.beta", "w1", "bn0.gamma",
+                                    "bn0.beta", "w0"]
+
+    def test_setup_builds_and_loads_nothing(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("set-up started a process or loaded a library")
+
+        monkeypatch.setattr(optim, "_lib", None)
+        monkeypatch.setattr(subprocess, "run", refuse)
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        for mode, dtype in (("exact", "float32"), ("crossbar", "float64")):
+            cfg = _config(tmp_path, tmp_path, mode, dtype).validate()
+            rngs = [np.random.default_rng(s) for s in (1, 2)]
+            mlp, _, _ = harness.build_model(cfg, *rngs)
+            DenseLayer(mlp.layers[0].w_hidden, mlp.grid)
+            Adam()
+            assert all(layer._work is None for layer in mlp.layers)
+        assert optim._lib is None
+
+    def test_failed_build_warns_once_and_runs_numpy(self, monkeypatch):
+        monkeypatch.setattr(optim, "_lib", None)
+        false = shutil.which("false")  # runs, and exits 1 like a failed compile
+        monkeypatch.setattr(shutil, "which", lambda name: false)
+        with pytest.warns(RuntimeWarning, match="did not build"):
+            assert optim._step_library() is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert optim._step_library() is None
+
+
+@pytest.mark.parametrize("mode, dtype", [("exact", "float32"), ("crossbar", "float64")])
+def test_runs_bytes_equal_without_compiler(synth_data_dir, tmp_path, monkeypatch, step_lib,
+                                           mode, dtype):
+    compiled = harness.run_sequential(_config(synth_data_dir, tmp_path / "c", mode, dtype))
+    monkeypatch.setattr(optim, "_lib", None)
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    plain = harness.run_sequential(_config(synth_data_dir, tmp_path / "numpy", mode, dtype))
+    assert optim._step_library() is None
+    assert compiled.cum_ops == plain.cum_ops
+    assert _run_digest(compiled.out_dir) == _run_digest(plain.out_dir)
 
 
 # -- whole runs ------------------------------------------------------------------

@@ -49,6 +49,17 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam.directions({"p": np.zeros(4)})
 
+    def test_refused_call_changes_nothing(self):
+        # the bad shape is the second gradient: the first slot must not move either
+        adam = Adam()
+        adam.directions({"p": np.ones(3), "q": np.ones(2)})
+        before = {k: a.copy() for k, a in adam.state_dict().items()}
+        with pytest.raises(ValueError, match="'q'"):
+            adam.directions({"p": np.full(3, 2.0), "q": np.ones(5), "r": np.ones(4)})
+        after = adam.state_dict()
+        assert adam.t == 1 and list(after) == list(before)
+        assert all(np.array_equal(after[k], before[k]) for k in before)
+
     def test_state_roundtrip(self):
         adam = Adam(beta1=0.8, beta2=0.95, eps=1e-7)
         rng = np.random.default_rng(1)

@@ -22,7 +22,8 @@ Builds the two synthetic IDX tasks the test suite uses, then runs:
 
 One line per digest: ``<run> <file> <sha256>``, with ``<file>`` spelled
 ``checkpoint.npz:<array>`` for a checkpoint array. Two trees that print the
-same lines produced the same bytes.
+same lines produced the same bytes. One line on stderr names the hidden-weight
+step that ran: ``c`` (the compiled step) or ``numpy`` (no C compiler found).
 
 Usage: PYTHONPATH=src python tools/run_digests.py
 """
@@ -40,7 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import make_synth_task  # noqa: E402
 from test_fused_step import _config  # noqa: E402
 
-from memqnn import harness  # noqa: E402
+from memqnn import harness, optim  # noqa: E402
 from memqnn.data import TaskSpec  # noqa: E402
 
 RUN_FILES = ("metrics.csv", "run.json", "devices.tsv", "ops_histogram.csv",
@@ -110,6 +111,7 @@ def main():
             _config(data, work / label, "exact", "float64"), grid_source="explicit",
             grid_level_values=levels.tolist()))
         print_run(label, work / label)
+    print("step path:", "c" if optim._step_library() else "numpy", file=sys.stderr)
 
 
 if __name__ == "__main__":
