@@ -386,28 +386,26 @@ def evaluate(mlp, split, eval_batch=1000, bn_state=None):
 def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     """One optimizer step; returns (loss, programming ops this step).
 
-    The compiled step (``optim._fused_update``) updates every layer it takes,
-    Adam moments included; ``Adam.directions`` and ``metaplastic_update`` do
-    the batch norms and any other layer, with the same bits. A
-    ``metaplastic_update`` replaced in this module (a timing wrapper, a
-    stand-in) is called for every layer instead, so it sees every update.
+    Each layer's hidden weights take ``metaplastic_update`` and ``set_hidden``,
+    its batch norm ``bn_update``, on ``Adam.directions``; where a C compiler is
+    found, the compiled step (``optim._fused_update``) does the weights' part,
+    Adam moments included, with the same bits. A ``metaplastic_update``
+    replaced in this module (a timing wrapper, a stand-in) is called for every
+    layer instead, so it sees every update.
     """
     loss, grads, _ = mlp.loss_grads(x, y)
     lib = optim._step_library() if metaplastic_update is optim.metaplastic_update else None
-    fused = set()
     if lib is not None:
         adam._slots(grads)  # every slot, made in grads order as directions would make them
-        fused = {f"w{i}" for i, layer in enumerate(mlp.layers)
-                 if optim._fusable(layer, grads[f"w{i}"], *adam.slots[f"w{i}"])}
-    u = adam.directions({name: g for name, g in grads.items() if name not in fused})
+    u = adam.directions({name: g for name, g in grads.items()
+                         if lib is None or name.startswith("bn")})
     ops = 0
     for i, layer in enumerate(mlp.layers):
-        if f"w{i}" in fused:
+        if lib is not None:
             moved = optim._fused_update(lib, layer, adam, f"w{i}", grads[f"w{i}"], m_star, lr)
         else:
-            w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"], mlp.grid,
-                                       m_star, lr, slopes=layer.side_slopes(m_star))
-            moved = layer.set_hidden(w_new)
+            moved = layer.set_hidden(metaplastic_update(
+                layer.w_hidden, layer.w_quant, u[f"w{i}"], mlp.grid, m_star, lr, layer.level_idx))
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)
         if layer.tile is not None:
@@ -489,11 +487,11 @@ def restore_run(path):
     Nothing is drawn or programmed: the MLP is built from the stored hidden
     weights and the tiles take their cells from the file. A file that is not
     a checkpoint of this version, a missing or malformed array (an Adam slot
-    that fits no parameter included), weights that do not chain as the
-    config's dims, and a tile whose cells do not encode its layer's levels
-    raise ConfigError: training rewrites only pairs whose level changes, so
-    it would never mend such a tile. Compressed (``np.savez_compressed``)
-    files load as well.
+    that fits no parameter or the run dtype included), weights that do not
+    chain as the config's dims, and a tile whose cells do not encode its
+    layer's levels raise ConfigError: training rewrites only pairs whose
+    level changes, so it would never mend such a tile. Compressed
+    (``np.savez_compressed``) files load as well.
     """
     try:
         with np.load(path) as z:
@@ -533,6 +531,8 @@ def restore_run(path):
                        if layer.bn is not None for p in ("gamma", "beta")})
         adam.load_state_dict({k[len("adam."):]: v for k, v in state.items()
                               if k.startswith("adam.")}, shapes)
+        if any(a.dtype != mlp.dtype for slot in adam.slots.values() for a in slot):
+            raise ConfigError(f"adam slots are not all {mlp.dtype}")
         epoch, cum_ops = int(state["epoch"]), int(state["cum_ops"])
     except KeyError as e:
         raise ConfigError(f"{path}: checkpoint lacks array {e}") from None

@@ -107,14 +107,19 @@ class DenseLayer:
     interval and patching ``w_quant``, ``level_idx``, the intervals and the
     plasticity slopes in place. The slopes are built by ``side_slopes`` for
     one m* at a time. When a crossbar tile is bound, the matrix products
-    route through it instead of ``w_quant``.
+    route through it instead of ``w_quant``. The hidden weights are
+    C-contiguous float32 or float64, as the compiled step needs: an array in
+    another order is copied, another dtype raises ``ValueError``.
     """
 
     def __init__(self, w_hidden, grid: QuantGrid, bn: BatchNorm | None = None):
+        w = np.ascontiguousarray(w_hidden)
+        if w.dtype not in (np.float32, np.float64):
+            raise ValueError(f"hidden weights must be float32 or float64, not {w.dtype}")
         self.grid = grid
         self.bn = bn
         self.tile = None
-        self.w_hidden = w = np.asarray(w_hidden)
+        self.w_hidden = w
         self.level_idx, w_quant = grid.project(w)
         self.w_quant = w_quant.astype(w.dtype, copy=False)
         self._bounds = grid.level_bounds(self.level_idx, w.dtype)  # (lo, hi] of each level
@@ -136,7 +141,7 @@ class DenseLayer:
         and dtype must match the current hidden weights. Non-finite weights
         raise ``FloatingPointError`` and leave the layer unchanged.
         """
-        w = np.asarray(w_hidden)
+        w = np.ascontiguousarray(w_hidden)
         if w.shape != self.w_hidden.shape or w.dtype != self.w_hidden.dtype:
             raise ValueError(f"hidden weights {w.dtype}{w.shape} != layer's "
                              f"{self.w_hidden.dtype}{self.w_hidden.shape}")
@@ -167,14 +172,13 @@ class DenseLayer:
     def _step_buffers(self):
         """The compiled step's (new weights, tanh scratch, moved indices) buffers.
 
-        Made at the layer's first compiled step, and again should the hidden
-        weights' shape or dtype change. The new weights go to whichever of two
-        buffers the hidden weights are not, so the buffers swap roles each
-        step and an array handed to the layer is never written.
+        Made at the layer's first compiled step; the hidden weights keep their
+        shape and dtype. The new weights go to whichever of two buffers the
+        hidden weights are not, so the buffers swap roles each step and an
+        array handed to the layer is never written.
         """
         w = self.w_hidden
-        made = self._work and self._work[1]
-        if made is None or (made.shape, made.dtype) != (w.shape, w.dtype):
+        if self._work is None:
             self._work = ([np.empty_like(w), np.empty_like(w)], np.empty_like(w),
                           np.empty(w.size, dtype=np.int64))
         pair, scratch, index = self._work
@@ -220,7 +224,7 @@ class MLP:
     """Quantized-weight perceptron; the last layer has no BN and no activation.
 
     Built from one hidden-weight matrix per layer; the dims and the dtype
-    come from the matrices.
+    come from the matrices, which must share one dtype.
     """
 
     def __init__(self, hidden, grid: QuantGrid):
@@ -228,9 +232,12 @@ class MLP:
         if not shapes or any(len(s) != 2 for s in shapes) or any(
                 a[1] != b[0] for a, b in zip(shapes, shapes[1:])):
             raise ValueError(f"need chained 2-d weight matrices, got shapes {shapes}")
+        dtypes = [np.asarray(w).dtype for w in hidden]
+        if len(set(dtypes)) > 1:
+            raise ValueError(f"need weight matrices of one dtype, got {dtypes}")
         self.dims = (shapes[0][0], *(s[1] for s in shapes))
         self.grid = grid
-        self.dtype = np.asarray(hidden[0]).dtype
+        self.dtype = dtypes[0]
         self.layers = []
         for i, w in enumerate(hidden):
             bn = BatchNorm(shapes[i][1], dtype=self.dtype) if i < len(shapes) - 1 else None

@@ -7,20 +7,12 @@ quantized level is scaled by the grid's plasticity factor, which is what makes
 well-settled synapses progressively harder to dislodge. Updates toward the
 level, and all batch-norm updates, are applied at full strength.
 
-The factor is evaluated on every weight in a few in-place passes, with no
-gather or scatter: the away mask multiplies the tanh argument, so an update
-toward the level gets a factor of exactly 1, and each weight's side slopes
-(``2 m* / width``) come from its layer (``DenseLayer.side_slopes``), which
-keeps them current instead of gathering them every step. The layer then
-re-projects only the weights that left their level (``DenseLayer.set_hidden``),
-so a step costs a fixed number of passes over the weights plus work
-proportional to the level flips.
-
-The same step also exists compiled (``_step.c``): per layer, one loop for the
-Adam moments and the tanh argument, numpy's ``tanh`` in place, and one loop
-for the step, the clip and the interval compare; at m* = 0 a single loop.
-It computes the bits of the numpy functions here, which stay as its fallback
-where no C compiler is found, and for layers it does not take.
+``metaplastic_update`` states that rule once, as a full-matrix formula. The
+compiled step (``_step.c``) computes its bits, Adam moments included, in a
+few loops per layer, reading the side slopes each layer keeps
+(``DenseLayer.side_slopes``); training runs it wherever a C compiler is
+found, and the formula is its fallback and its test oracle. Either way the
+layer then re-projects only the weights that left their level.
 """
 
 from __future__ import annotations
@@ -84,13 +76,14 @@ class Adam:
     def _slots(self, grads):
         """The (m, v) slot of each gradient, in ``grads`` order; missing ones are made.
 
-        Every shape is checked before a slot is made, so a refused call
-        changes nothing.
+        Every shape and dtype (the compiled step reads a slot in its gradient's
+        dtype) is checked before a slot is made, so a refused call changes nothing.
         """
         for name, g in grads.items():
-            if name in self.slots and self.slots[name][0].shape != np.shape(g):
-                raise ValueError(f"gradient shape {np.shape(g)} != slot shape "
-                                 f"{self.slots[name][0].shape} for {name!r}")
+            m = self.slots[name][0] if name in self.slots else None
+            if m is not None and (m.shape, m.dtype) != (np.shape(g), np.asarray(g).dtype):
+                raise ValueError(f"gradient {np.asarray(g).dtype}{np.shape(g)} != slot "
+                                 f"{m.dtype}{m.shape} for {name!r}")
         for name, g in grads.items():
             if name not in self.slots:
                 self.slots[name] = (np.zeros_like(g), np.zeros_like(g))
@@ -116,7 +109,7 @@ class Adam:
         for key, value in state.items():
             if key.startswith("m."):
                 name = key[2:]
-                m, v = np.array(value), np.array(state[f"v.{name}"])
+                m, v = np.array(value, order="C"), np.array(state[f"v.{name}"], order="C")
                 if name not in shapes or not m.shape == v.shape == tuple(shapes[name]):
                     raise ValueError(f"adam slot {name!r} of shape {m.shape}/{v.shape} fits "
                                      f"no parameter (shape {shapes.get(name)})")
@@ -124,30 +117,24 @@ class Adam:
         self.t, self.slots = t, slots
 
 
-def metaplastic_update(w_hidden, w_quant, u, grid: QuantGrid, m_star, lr, level_idx=None,
-                       slopes=None):
+def metaplastic_update(w_hidden, w_quant, u, grid: QuantGrid, m_star, lr, level_idx=None):
     """One hidden-weight update step; returns the new, clipped hidden weights.
 
     Elementwise rule: where ``u * (w_hidden - w_quant) < 0`` the step would
     carry the hidden weight away from its level, so it is scaled by the
     plasticity factor evaluated at the current state; everywhere else (the
     equality case included) the plain step applies. ``w_quant`` must be the
-    current projection of ``w_hidden``, and ``level_idx`` its level index or
-    ``slopes`` its ``grid.side_slopes`` for ``m_star`` (either is derived
-    when neither is given). The factor is evaluated on every weight, and is
-    exactly 1 off the away branch.
+    current projection of ``w_hidden`` and ``level_idx`` its level index
+    (derived when not given).
     """
     w = np.asarray(w_hidden)
+    step = lr * u
     if m_star == 0.0:
-        return grid.clip_hidden(w - lr * u)
-    w, w_quant, u = np.broadcast_arrays(w, w_quant, u)
-    scale = grid.plasticity(w, m_star, level_idx, w_quant, slopes, u)
-    step = np.asarray(lr * u)
-    step = step.astype(np.result_type(step, w), copy=False)
-    step *= scale.astype(w.dtype, copy=False)
-    del scale
-    np.subtract(w, step, out=step)
-    return grid.clip_hidden(step)
+        return grid.clip_hidden(w - step)
+    away = u * (w - w_quant) < 0.0
+    scale = grid.plasticity(w, m_star, level_idx, w_quant).astype(w.dtype, copy=False)
+    step = step * np.where(away, scale, np.ones((), dtype=w.dtype))
+    return grid.clip_hidden(w - step)
 
 
 def bn_update(bn, u_gamma, u_beta, lr):
@@ -207,30 +194,21 @@ def _build_step():
     return lib
 
 
-def _fusable(layer, g, m, v):
-    """Whether the compiled step takes this layer: C-contiguous float32 or float64
-    hidden weights, and the gradient, moments and level state like them.
-
-    The level indices must be C-contiguous too: the slopes gathered by them
-    take their layout.
-    """
-    w = layer.w_hidden
-    return w.dtype in (np.float32, np.float64) and layer.level_idx.flags.c_contiguous and all(
-        a.dtype == w.dtype and a.shape == w.shape and a.flags.c_contiguous
-        for a in (w, g, m, v, layer.w_quant, *layer._bounds))
-
-
 def _fused_update(lib, layer, adam, name, g, m_star, lr):
     """Adam on slot ``name``, ``metaplastic_update`` and ``set_hidden``, compiled.
 
-    ``adam.t`` must already count this step (``Adam.directions`` advances it).
-    Returns the flat indices whose level changed, as ``set_hidden`` does; they
-    stay valid until the layer's next step. A non-finite new weight raises
-    ``FloatingPointError`` and leaves the layer as it was, its moments updated.
+    ``adam.t`` must already count this step (``Adam.directions`` advances it)
+    and slot ``name`` be made for ``g`` (``Adam._slots``). Returns the flat
+    indices whose level changed, as ``set_hidden`` does; they stay valid until
+    the layer's next step. A non-finite new weight raises
+    ``FloatingPointError`` and leaves the layer as it was, its moments updated;
+    a gradient not C-ordered in the layer's shape and dtype raises ValueError.
     """
+    w, grid, (lo, hi) = layer.w_hidden, layer.grid, layer._bounds
+    if (g.dtype, g.shape) != (w.dtype, w.shape) or not g.flags.c_contiguous:
+        raise ValueError(f"gradient {g.dtype}{g.shape} does not fit layer {w.dtype}{w.shape}")
     m, v = adam.slots[name]
     slopes = layer.side_slopes(m_star)
-    w, grid, (lo, hi) = layer.w_hidden, layer.grid, layer._bounds
     out, arg, index = layer._step_buffers()
     up = neg_lower = None  # per-weight slopes; a grid of equal widths passes its one in k
     slope = 0.0

@@ -120,7 +120,7 @@ class QuantGrid:
         neg_lower = -np.insert(slope, 0, slope[0])  # level i: interval max(i - 1, 0)
         return upper[level_idx], neg_lower[level_idx]
 
-    def plasticity(self, w_hidden, m_star, level_idx=None, w_quant=None, slopes=None, u=None):
+    def plasticity(self, w_hidden, m_star, level_idx=None, w_quant=None):
         """Update-strength factor in (0, 1].
 
         Equals 1 when the hidden weight sits at the midpoint between two
@@ -129,39 +129,24 @@ class QuantGrid:
         on the side of the projected level that contains the hidden weight;
         beyond the outermost levels the outermost interval is reused, and a
         weight exactly on a level gives the same value for either neighbouring
-        interval. ``slopes`` are ``side_slopes(level_idx, m_star, dtype)``,
-        built here when not given. With an update direction ``u`` the factor
-        is exactly 1 wherever ``u * (w_hidden - w_quant) < 0`` does not hold,
-        i.e. where a step along ``-u`` is not carrying the weight away.
+        interval. ``level_idx`` and ``w_quant`` are the projection of
+        ``w_hidden``, computed here unless both are given.
         """
         m = check_m_star(m_star)
         w = np.asarray(w_hidden)
         dt = w.dtype if w.dtype.kind == "f" else np.dtype(np.float64)
-        if w_quant is None or (slopes is None and level_idx is None):
+        if level_idx is None or w_quant is None:
             level_idx, w_quant = self.project(w)
-        upper, neg_lower = self.side_slopes(level_idx, m, dt) if slopes is None else slopes
-        # 1 - tanh(away * min(slope * |w - w_quant| - m, 0))**2, evaluated in
-        # place. The argument is <= 0 for any weight inside the clipped hidden
-        # range (distance to the level is at most half an interval); the cap
-        # extends that continuously, keeping far-out weights fully plastic.
-        out = np.empty(np.broadcast_shapes(w.shape, np.shape(w_quant)), dtype=dt)
-        np.subtract(w, np.asarray(w_quant, dtype=dt), out=out)
-        away = None if u is None else u * out < 0.0
-        if self._uniform:
-            np.abs(out, out=out)
-            out *= upper
-        else:
-            below = out * neg_lower
-            out *= upper
-            np.maximum(out, below, out=out)
-        out -= dt.type(m)
-        np.minimum(out, dt.type(0), out=out)
-        if away is not None:
-            out *= away
-        np.tanh(out, out=out)
-        out *= out
-        np.subtract(1.0, out, out=out)
-        return out
+        idx = np.asarray(level_idx)
+        d = np.abs(w - np.asarray(w_quant, dtype=dt))
+        # 1 - tanh(min(slope * |w - w_quant| - m, 0))**2: the argument is <= 0
+        # for any weight inside the clipped hidden range (distance to the level
+        # is at most half an interval); the cap keeps far-out weights plastic.
+        slope = (2.0 * m / self.widths).astype(dt)
+        side = np.where(w >= w_quant, slope[np.minimum(idx, self.n - 2)],
+                        slope[np.maximum(idx - 1, 0)])
+        t = np.tanh(np.minimum(side * d - dt.type(m), dt.type(0)))
+        return 1.0 - t * t
 
     # -- hidden-weight support ----------------------------------------------
 

@@ -1,21 +1,21 @@
-"""Plain full-matrix implementations of the consolidation step, kept as test oracles.
+"""Plain full-matrix implementations of package code, kept as test oracles.
 
-These are the straightforward versions of what the package now does
-incrementally or branch-free: the plasticity factor with each weight's side
-width chosen by ``np.where`` and the update gated the same way (where the
-package takes the slopes its layers keep and multiplies the tanh argument by
-the away mask), a full re-projection of the hidden weights (where the layer's
-``set_hidden`` re-projects only the weights that left their level), the Adam
-directions with one temporary per operation, a crossbar write that encodes and
-compares every pair, cell programming through boolean masks, the per-cell
-dump formatted from numpy scalars, the forward pass with its ReLU as a
-masked ``np.where`` and its batch norm from out-of-place temporaries, the
-backward pass gated on that mask (where the package reads the ReLU output
-the tape records), the evaluation pass as one serial loop over its batches,
-the op histogram through ``np.histogram`` on bucket edges (where the package
-counts bucket indices with ``np.bincount``), and a dataset split scaled to
-floats as one whole array (where a split keeps its 8-bit pixels and scales
-each batch). The shipped code must reproduce them bit for bit.
+These are the straightforward versions of what the package does
+incrementally or branch-free: a full re-projection of the hidden weights
+(where the layer's ``set_hidden`` re-projects only the weights that left
+their level), the Adam directions with one temporary per operation, a
+crossbar write that encodes and compares every pair, cell programming through
+boolean masks, the per-cell dump formatted from numpy scalars, the forward
+pass with its ReLU as a masked ``np.where`` and its batch norm from
+out-of-place temporaries, the backward pass gated on that mask (where the
+package reads the ReLU output the tape records), the evaluation pass as one
+serial loop over its batches, the op histogram through ``np.histogram`` on
+bucket edges (where the package counts bucket indices with ``np.bincount``),
+and a dataset split scaled to floats as one whole array (where a split keeps
+its 8-bit pixels and scales each batch). The shipped code must reproduce them
+bit for bit. The hidden-weight rule has no copy here: its plain formula is
+``optim.metaplastic_update`` itself, which ``reference_train_step`` calls and
+the compiled step is tested against.
 """
 
 import warnings
@@ -23,43 +23,10 @@ import warnings
 import numpy as np
 
 from memqnn.device import N_LEVELS
-from memqnn.errors import ConfigError, EnduranceWarning
+from memqnn.errors import EnduranceWarning
 from memqnn.net import ForwardTape, softmax_cross_entropy
-from memqnn.optim import bn_update
+from memqnn.optim import bn_update, metaplastic_update
 from memqnn.xbar import HALF_SPAN
-
-
-def reference_plasticity(grid, w_hidden, m_star, level_idx=None, w_quant=None):
-    m = float(m_star)
-    if not np.isfinite(m) or m < 0:
-        raise ConfigError(f"m_star must be finite and >= 0, got {m}")
-    w = np.asarray(w_hidden)
-    dt = w.dtype if w.dtype.kind == "f" else np.dtype(np.float64)
-    if level_idx is None or w_quant is None:
-        level_idx, w_quant = grid.project(w)
-    idx = np.asarray(level_idx)
-    d = np.abs(w - np.asarray(w_quant, dtype=dt))
-    above = w >= w_quant
-    inv_width = (2.0 * m / grid.widths).astype(dt)
-    factor = np.where(
-        above,
-        inv_width[np.minimum(idx, grid.n - 2)],
-        inv_width[np.maximum(idx - 1, 0)],
-    )
-    arg = np.minimum(factor * d - dt.type(m), dt.type(0))
-    t = np.tanh(arg)
-    return 1.0 - t * t
-
-
-def reference_metaplastic_update(w_hidden, w_quant, u, grid, m_star, lr, level_idx=None):
-    w = np.asarray(w_hidden)
-    step = lr * u
-    if m_star == 0.0:
-        return grid.clip_hidden(w - step)
-    away = u * (w - w_quant) < 0.0
-    scale = reference_plasticity(grid, w, m_star, level_idx, w_quant).astype(w.dtype, copy=False)
-    step = step * np.where(away, scale, np.ones((), dtype=w.dtype))
-    return grid.clip_hidden(w - step)
 
 
 def reference_projection(grid, w_hidden):
@@ -160,8 +127,8 @@ def reference_train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     u = reference_adam_directions(adam, grads)
     ops = 0
     for i, layer in enumerate(mlp.layers):
-        w_new = reference_metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"],
-                                             mlp.grid, m_star, lr, layer.level_idx)
+        w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"], mlp.grid,
+                                   m_star, lr, layer.level_idx)
         layer.level_idx, layer.w_quant = reference_projection(mlp.grid, w_new)
         layer.w_hidden = w_new
         layer._bounds = mlp.grid.level_bounds(layer.level_idx, w_new.dtype)

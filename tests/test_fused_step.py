@@ -1,12 +1,14 @@
 """The fused consolidation step and the forward pass against their oracles (tests/oracles.py).
 
-The compiled step (``_step.c``) is compared with the numpy path it stands in
-for, with and without a C compiler. Every comparison is on bytes: values,
-dtype and shape, so a -0.0 for a 0.0 or a changed RNG draw order fails as
-loudly as a wrong level.
+The compiled step (``_step.c``) is compared with the plain rule it stands in
+for (``optim.metaplastic_update``), with and without a C compiler; the plain
+rule itself has no second copy, so ``TestUpdateOracle`` checks its own
+properties. Every comparison is on bytes: values, dtype and shape, so a -0.0
+for a 0.0 or a changed RNG draw order fails as loudly as a wrong level.
 """
 
 import ctypes
+import dataclasses
 import hashlib
 import shutil
 import subprocess
@@ -35,8 +37,6 @@ from oracles import (
     reference_encode_levels,
     reference_forward,
     reference_loss_grads,
-    reference_metaplastic_update,
-    reference_plasticity,
     reference_program,
     reference_projection,
     reference_train_step,
@@ -90,35 +90,49 @@ def direction(rng, dtype, shape):
 
 
 class TestUpdateOracle:
+    """The plain rule, ``metaplastic_update`` and ``QuantGrid.plasticity``, on its own terms.
+
+    It is the compiled step's oracle (``TestCompiledStep``), so these check
+    what it promises by itself: a step toward the level is the plain step,
+    a step away from it is never longer, and a level state the caller passes
+    gives the bits of the one the rule derives.
+    """
+
     @settings(max_examples=80, deadline=None)
     @given(grid=grids(), seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
-           m_star=st.sampled_from([0.0, 0.3, 3.0, 12.0]), lr=st.sampled_from([1e-3, 0.05, 2.0]),
-           pass_idx=st.booleans())
-    def test_metaplastic_update_bit_equal(self, grid, seed, dtype, m_star, lr, pass_idx):
+           m_star=st.sampled_from([0.0, 0.3, 3.0, 12.0]), lr=st.sampled_from([1e-3, 0.05, 2.0]))
+    def test_metaplastic_update_bit_equal(self, grid, seed, dtype, m_star, lr):
         rng = np.random.default_rng(seed)
         w = grid.clip_hidden(hidden_weights(rng, grid, dtype, (9, 7)))
         idx, wq = reference_projection(grid, w)
         u = direction(rng, dtype, w.shape)
-        level_idx = idx if pass_idx else None
-        got = metaplastic_update(w, wq, u, grid, m_star, lr, level_idx)
-        want = reference_metaplastic_update(w, wq, u, grid, m_star, lr, level_idx)
-        assert same_bytes(got, want)
+        got = metaplastic_update(w, wq, u, grid, m_star, lr, idx)
+        assert same_bytes(got, metaplastic_update(w, wq, u, grid, m_star, lr))
+        plain = metaplastic_update(w, wq, u, grid, 0.0, lr)
+        away = u * (w - wq) < 0.0
+        assert same_bytes(got[~away], plain[~away])
+        assert np.all(np.abs(got - w)[away] <= np.abs(plain - w)[away])
 
     @settings(max_examples=60, deadline=None)
     @given(grid=grids(), seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
-           m_star=st.floats(0.0, 12.0), pass_idx=st.booleans())
-    def test_plasticity_bit_equal(self, grid, seed, dtype, m_star, pass_idx):
+           m_star=st.floats(0.0, 12.0))
+    def test_plasticity_bit_equal(self, grid, seed, dtype, m_star):
         rng = np.random.default_rng(seed)
         w = hidden_weights(rng, grid, dtype, (5, 11))
-        idx, wq = reference_projection(grid, w) if pass_idx else (None, None)
+        idx, wq = reference_projection(grid, w)
         got = grid.plasticity(w, m_star, idx, wq)
-        want = reference_plasticity(grid, w, m_star, idx, wq)
-        assert same_bytes(got, want)
+        assert same_bytes(got, grid.plasticity(w, m_star))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        if m_star == 0.0:
+            assert np.all(got == 1.0)
 
     def test_plasticity_scalar_input(self):
+        """A scalar weight, as demo 01 passes, gives the bits of a one-weight array."""
         grid = derive_grid(default_levelspec()).grid
         for w in (0.0, 0.1, -0.7, grid.hidden_hi):
-            assert float(grid.plasticity(w, 3.0)) == float(reference_plasticity(grid, w, 3.0))
+            got = grid.plasticity(w, 3.0)
+            assert np.ndim(got) == 0
+            assert same_bytes(np.reshape(got, 1), grid.plasticity(np.array([w]), 3.0))
 
     def test_broadcast_direction(self):
         grid = uniform_grid(17, -1.5, 1.5)
@@ -126,7 +140,7 @@ class TestUpdateOracle:
         idx, wq = reference_projection(grid, w)
         for u in (0.7, -0.7):
             assert same_bytes(metaplastic_update(w, wq, u, grid, 3.0, 0.05, idx),
-                              reference_metaplastic_update(w, wq, u, grid, 3.0, 0.05, idx))
+                              metaplastic_update(w, wq, np.full_like(w, u), grid, 3.0, 0.05, idx))
 
 
 def rebuilt_slopes(grid, level_idx, m_star, dtype):
@@ -137,7 +151,8 @@ def rebuilt_slopes(grid, level_idx, m_star, dtype):
 
 
 class TestLayerDrivenUpdate:
-    """The dense update fed by the slopes a layer keeps, over steps that flip levels."""
+    """The update fed by a layer's kept state, and the slopes the layer keeps for the
+    compiled step, over steps that flip levels."""
 
     @settings(max_examples=60, deadline=None)
     @given(grid=grids(), seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
@@ -152,9 +167,10 @@ class TestLayerDrivenUpdate:
             slopes = layer.side_slopes(m_star)
             assert layer.side_slopes(m_star) is slopes  # kept, not rebuilt, for one m*
             got = metaplastic_update(layer.w_hidden, layer.w_quant, u, grid, m_star, lr,
-                                     slopes=slopes)
-            want = reference_metaplastic_update(layer.w_hidden, layer.w_quant, u, grid,
-                                                m_star, lr, layer.level_idx)
+                                     layer.level_idx)
+            # the kept levels give the bits of a full re-projection
+            idx, wq = reference_projection(grid, layer.w_hidden)
+            want = metaplastic_update(layer.w_hidden, wq, u, grid, m_star, lr, idx)
             assert same_bytes(got, want)
             # land some weights exactly on midpoints (ties), levels and the clip ends
             ties = hidden_weights(rng, grid, dtype, layer.shape, spread=0.0)
@@ -194,7 +210,7 @@ class TestLayerDrivenUpdate:
                                0.0, 0.05)
         assert all(layer._slopes is None for layer in mlp.layers)
 
-    def test_m_star_zero_step_frees_slopes(self):
+    def test_m_star_zero_step_frees_slopes(self, step_lib):
         """An m*=0 phase after a consolidated one keeps no slopes to patch at each flip."""
         grid = derive_grid(default_levelspec()).grid
         rng = np.random.default_rng(2)
@@ -739,7 +755,7 @@ class TestForwardOracle:
         compare_backward(mlp, x, rng.integers(0, dims[-1], batch))
 
 
-# -- the compiled step against the numpy path -------------------------------------
+# -- the compiled step against the plain rule -------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -753,13 +769,12 @@ def step_lib():
 def numpy_step(layer, adam, g, m_star, lr):
     u = adam.directions({"w": g})["w"]
     return layer.set_hidden(metaplastic_update(layer.w_hidden, layer.w_quant, u, layer.grid,
-                                               m_star, lr, slopes=layer.side_slopes(m_star)))
+                                               m_star, lr, layer.level_idx))
 
 
 def compiled_step(lib, layer, adam, g, m_star, lr):
     adam._slots({"w": g})
     adam.directions({})  # counts the step, as train_step's batch-norm call does
-    assert optim._fusable(layer, g, *adam.slots["w"])
     return optim._fused_update(lib, layer, adam, "w", g, m_star, lr)
 
 
@@ -773,14 +788,16 @@ def outcome(step, *args):
 
 
 def assert_same_state(a, b, adam_a, adam_b):
+    """Layer ``a`` stepped compiled and ``b`` by the plain rule hold the same state,
+    and the slopes ``a`` keeps equal slopes rebuilt from its levels."""
     for attr in ("w_hidden", "w_quant", "level_idx"):
         assert same_bytes(getattr(a, attr), getattr(b, attr)), attr
     for x, y in zip(a._bounds, b._bounds):
         assert same_bytes(x, y)
-    assert a._slopes_m == b._slopes_m
     if a._slopes is not None:
-        for x, y in zip(a._slopes, b._slopes):
-            assert same_bytes(x, y)
+        rebuilt = rebuilt_slopes(a.grid, a.level_idx, a._slopes_m, a.w_hidden.dtype)
+        for x, y in zip(a._slopes, rebuilt):
+            assert same_bytes(np.broadcast_to(x, a.shape), y)
     assert adam_a.t == adam_b.t
     for x, y in zip(adam_a.slots["w"], adam_b.slots["w"]):
         assert same_bytes(x, y)
@@ -848,6 +865,7 @@ class TestCompiledStep:
                     moved = compiled_step(step_lib, ours, adam_ours, g, m_star, 0.05)
                     assert same_bytes(moved, numpy_step(theirs, adam_theirs, g, m_star, 0.05))
                     assert_same_state(ours, theirs, adam_ours, adam_theirs)
+                    assert (ours._slopes is None) == (m_star == 0.0)
                     flips += moved.size
                 assert flips > 0
 
@@ -863,27 +881,39 @@ class TestCompiledStep:
         assert same_bytes(w, kept)
         assert seen[0] is not seen[1] and seen[2] is seen[0]  # two buffers, swapped
 
-    @pytest.mark.parametrize("make", [
-        pytest.param(np.asfortranarray, id="fortran"),
-        pytest.param(lambda w: np.repeat(w, 2, axis=1)[:, ::2], id="sliced"),
-    ])
-    def test_layers_it_does_not_take_run_numpy(self, step_lib, monkeypatch, make):
-        """A first layer it does not take steps in numpy, with the bits of the numpy path.
-
-        That numpy step leaves C-contiguous weights, so the compiled step
-        takes the layer from its second step on.
-        """
+    @pytest.mark.parametrize("setup", ["fortran", "sliced", "set_hidden_fortran",
+                                       "adam_fortran"])
+    def test_layers_c_contiguous_from_first_step(self, step_lib, monkeypatch, setup):
+        """A Fortran-ordered or sliced first layer, a Fortran array given to
+        ``set_hidden`` and Fortran moments given to ``Adam.load_state_dict`` each
+        leave C-contiguous state, so the compiled step takes every layer from the
+        first step, with the bits of the plain rule."""
         grid = uniform_grid(17, -1.5, 1.5)
         rng = np.random.default_rng(8)
         hidden = [init_hidden_uniform(s, grid, rng) for s in ((6, 5), (5, 3))]
+        moments = {f"{k}.w{i}": np.asfortranarray(np.abs(rng.normal(size=w.shape)) * 1e-3)
+                   for i, w in enumerate(hidden) for k in ("m", "v")}
 
         def run():
-            first = make(hidden[0])
-            mlp = MLP([first, hidden[1].astype(first.dtype)], grid)
-            adam, data = Adam(), np.random.default_rng(9)
+            first = {"fortran": np.asfortranarray, "set_hidden_fortran": np.copy,
+                     "sliced": lambda w: np.repeat(w, 2, axis=1)[:, ::2],
+                     "adam_fortran": np.copy}[setup](hidden[0])
+            kept = first.copy()
+            mlp, adam = MLP([first, hidden[1]], grid), Adam()
+            if setup == "set_hidden_fortran":
+                mlp.layers[0].set_hidden(np.asfortranarray(hidden[0] + 0.01))
+            if setup == "adam_fortran":
+                adam.load_state_dict({"t": np.asarray(3), **moments},
+                                     {name[2:]: a.shape for name, a in moments.items()})
+                assert all(a.flags.c_contiguous for pair in adam.slots.values() for a in pair)
+            for layer in mlp.layers:
+                assert all(a.flags.c_contiguous for a in (layer.w_hidden, layer.w_quant,
+                                                          layer.level_idx, *layer._bounds))
+            data = np.random.default_rng(9)
             for m_star in (0.0, 3.0, 3.0):
                 harness.train_step(mlp, adam, data.normal(size=(8, 6)), data.integers(0, 3, 8),
                                    m_star, 0.05)
+            assert same_bytes(first, kept)  # the handed array is never written
             return mlp, adam
 
         fused = []
@@ -891,20 +921,60 @@ class TestCompiledStep:
         monkeypatch.setattr(optim, "_fused_update",
                             lambda lib, layer, *a: fused.append(layer) or real(lib, layer, *a))
         mlp, adam = run()
-        assert [layer is mlp.layers[0] for layer in fused] == [False, True, False, True, False]
+        assert fused == mlp.layers * 3
         monkeypatch.setattr(optim, "_step_library", lambda: None)
         plain, plain_adam = run()
+        assert len(fused) == 6  # the plain run took no compiled step
         for a, b in zip(mlp.layers, plain.layers):
             assert same_bytes(a.w_hidden, b.w_hidden) and same_bytes(a.level_idx, b.level_idx)
         state, plain_state = adam.state_dict(), plain_adam.state_dict()
         assert list(state) == list(plain_state)
         assert all(same_bytes(state[k], plain_state[k]) for k in state)
 
-    def test_float16_layer_not_taken(self):
-        layer = DenseLayer(np.linspace(-1, 1, 12, dtype=np.float16).reshape(3, 4),
-                           uniform_grid(17, -1.5, 1.5))
-        g = np.ones((3, 4), np.float16)
-        assert not optim._fusable(layer, g, np.zeros_like(g), np.zeros_like(g))
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.int64])
+    def test_layer_dtype_refused(self, dtype):
+        """The compiled step has float32 and float64 loops only, so no layer holds another."""
+        with pytest.raises(ValueError, match="float32 or float64"):
+            DenseLayer(np.zeros((3, 4), dtype), uniform_grid(17, -1.5, 1.5))
+        with pytest.raises(ValueError, match="float32 or float64"):
+            MLP([np.zeros((3, 4), dtype), np.zeros((4, 2), dtype)], uniform_grid(17, -1.5, 1.5))
+
+    def test_mlp_mixed_dtypes_refused(self):
+        grid = uniform_grid(17, -1.5, 1.5)
+        for dtypes in ((np.float32, np.float64), (np.float64, np.float32)):
+            with pytest.raises(ValueError, match="one dtype"):
+                MLP([np.zeros((6, 5), dtypes[0]), np.zeros((5, 3), dtypes[1])], grid)
+
+    @pytest.mark.parametrize("path", ["c", "numpy"])
+    def test_adam_slot_of_another_dtype_refused(self, monkeypatch, path):
+        """The compiled step reads a slot in its layer's dtype: a loaded float32 slot
+        for a float64 layer is refused, on either path, before any state changes."""
+        if path == "numpy":
+            monkeypatch.setattr(optim, "_step_library", lambda: None)
+        mlp = uniform_mlp((6, 5, 3), uniform_grid(17, -1.5, 1.5), np.random.default_rng(1))
+        adam = Adam()
+        adam.load_state_dict({"t": np.asarray(2), "m.w0": np.zeros((6, 5), np.float32),
+                              "v.w0": np.zeros((6, 5), np.float32)}, {"w0": (6, 5)})
+        before = [layer.w_hidden.copy() for layer in mlp.layers]
+        with pytest.raises(ValueError, match="'w0'"):
+            harness.train_step(mlp, adam, np.ones((4, 6)), np.arange(4) % 3, 3.0, 0.05)
+        assert adam.t == 2 and list(adam.slots) == ["w0"]
+        assert all(same_bytes(l.w_hidden, w) for l, w in zip(mlp.layers, before))
+
+    @pytest.mark.parametrize("path", ["c", "numpy"])
+    def test_tile_of_another_dtype_refused(self, monkeypatch, path):
+        """A float64 tile on a float32 net makes float64 gradients for float32
+        weights: either path refuses them, the compiled one before any pointer."""
+        if path == "numpy":
+            monkeypatch.setattr(optim, "_step_library", lambda: None)
+        dgrid = derive_grid(default_levelspec())
+        mlp = uniform_mlp((6, 5, 3), dgrid.grid, np.random.default_rng(1), dtype=np.float32)
+        mlp.layers[1].tile = CrossbarTile(5, 3, dgrid, np.random.default_rng(0))  # float64
+        before = mlp.layers[0].w_hidden.copy()
+        with pytest.raises(ValueError, match="float64.* float32"):
+            harness.train_step(mlp, Adam(), np.ones((4, 6), np.float32), np.arange(4) % 3,
+                               3.0, 0.05, dgrid)
+        assert same_bytes(mlp.layers[0].w_hidden, before)
 
     def test_slots_keep_their_order(self, step_lib):
         """The checkpoint lists Adam's slots in the order the numpy path made them."""
@@ -942,16 +1012,65 @@ class TestCompiledStep:
             assert optim._step_library() is None
 
 
-@pytest.mark.parametrize("mode, dtype", [("exact", "float32"), ("crossbar", "float64")])
-def test_runs_bytes_equal_without_compiler(synth_data_dir, tmp_path, monkeypatch, step_lib,
-                                           mode, dtype):
-    compiled = harness.run_sequential(_config(synth_data_dir, tmp_path / "c", mode, dtype))
+EXPLICIT_80 = (1.5 * np.sinh(np.linspace(-2.0, 2.0, 80)) / np.sinh(2.0)).tolist()
+
+
+def _hide_compiler(monkeypatch):
+    """The plain rule runs every layer from here on, as on a host without ``cc``."""
     monkeypatch.setattr(optim, "_lib", None)
     monkeypatch.setattr(shutil, "which", lambda name: None)
-    plain = harness.run_sequential(_config(synth_data_dir, tmp_path / "numpy", mode, dtype))
+
+
+@pytest.mark.parametrize("mode, dtype, levels", [
+    pytest.param("exact", "float32", None, id="exact-float32"),
+    pytest.param("crossbar", "float64", None, id="crossbar-float64"),
+    pytest.param("exact", "float64", None, id="exact-float64"),
+    pytest.param("crossbar", "float32", None, id="crossbar-float32"),
+    # binary-search projection, per-weight slopes and no tile (tools/run_digests.py)
+    pytest.param("exact", "float64", EXPLICIT_80, id="exact-float64-explicit-80"),
+])
+def test_runs_bytes_equal_without_compiler(synth_data_dir, tmp_path, monkeypatch, step_lib,
+                                           mode, dtype, levels):
+    def config(out_dir):
+        cfg = _config(synth_data_dir, out_dir, mode, dtype)
+        if levels is None:
+            return cfg
+        return dataclasses.replace(cfg, grid_source="explicit", grid_level_values=levels)
+
+    compiled = harness.run_sequential(config(tmp_path / "c"))
+    _hide_compiler(monkeypatch)
+    plain = harness.run_sequential(config(tmp_path / "numpy"))
     assert optim._step_library() is None
     assert compiled.cum_ops == plain.cum_ops
     assert _run_digest(compiled.out_dir) == _run_digest(plain.out_dir)
+
+
+@pytest.mark.parametrize("path", ["c", "numpy"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_ideal_device_is_exact_mode(synth_data_dir, tmp_path, monkeypatch, dtype, path):
+    """A crossbar with no conductance spread and no read noise is exact mode on the
+    device grid, bit for bit: every checkpoint array the two runs share but the
+    op count and the device generator, and every metrics.csv column but cum_ops."""
+    if path == "numpy":
+        _hide_compiler(monkeypatch)
+    elif optim._step_library() is None:
+        pytest.skip("no C compiler: the numpy path is the only step")
+    crossbar = dataclasses.replace(_config(synth_data_dir, tmp_path / "crossbar", "crossbar",
+                                           dtype), device_sigma_frac=0.0, read_noise_sigma=0.0)
+    exact = dataclasses.replace(crossbar, weight_source="exact", out_dir=str(tmp_path / "exact"))
+    runs = [harness.run_sequential(cfg).out_dir for cfg in (crossbar, exact)]
+    assert (optim._step_library() is None) == (path == "numpy")
+    metrics = [[line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+               for out in runs]
+    assert metrics[0][0][-1] == "cum_ops" and len(metrics[0]) > 2
+    assert [row[:-1] for row in metrics[0]] == [row[:-1] for row in metrics[1]]
+    with np.load(runs[0] / "checkpoint.npz") as a, np.load(runs[1] / "checkpoint.npz") as b:
+        shared = set(a.files) & set(b.files)
+        assert set(b.files) <= set(a.files)  # the crossbar run adds its tiles
+        assert any(name.startswith("tile") for name in a.files)
+        for name in sorted(shared - {"config_json", "cum_ops", "device_rng"}):
+            assert same_bytes(a[name], b[name]), name
+        assert int(a["cum_ops"]) > 0 and int(b["cum_ops"]) == 0
 
 
 # -- whole runs ------------------------------------------------------------------

@@ -376,6 +376,9 @@ class TestCheckpoint:
                                "must be finite"),
             "adam_slot.npz": ({**saved, "adam.m.w0": saved["adam.m.w0"][:3]},
                               "adam slot 'w0' of shape (3, 24)"),
+            # the compiled step would read the slot in the run dtype
+            "adam_dtype.npz": ({**saved, "adam.v.w1": saved["adam.v.w1"].astype(np.float16)},
+                               "adam slots are not all"),
         }
         for name, (state, _) in damaged.items():
             np.savez(tmp_path / name, **state)
