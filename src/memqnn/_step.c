@@ -1,9 +1,13 @@
-/* One layer's Adam moments and consolidation-gated hidden-weight update, fused.
+/* The compiled parts of a training step: one layer's Adam moments and
+ * consolidation-gated hidden-weight update, the re-projection of the weights
+ * that left their level, and a hidden layer's train-mode batch norm with its
+ * ReLU, forward and backward.
  *
- * Each loop applies, weight by weight, the operations that optim.Adam.directions,
- * QuantGrid.plasticity, optim.metaplastic_update, QuantGrid.clip_hidden and
- * DenseLayer.set_hidden apply to whole arrays, in their order and in the
- * array's precision, so every result has numpy's bits:
+ * Each loop applies, element by element, the operations that the numpy code it
+ * stands in for applies to whole arrays (optim.Adam.directions,
+ * QuantGrid.plasticity, optim.metaplastic_update, QuantGrid.clip_hidden,
+ * DenseLayer.set_hidden, BatchNorm.forward/backward and MLP's ReLU), in their
+ * order and in the array's precision, so every result has numpy's bits:
  *   - constants arrive as doubles and are rounded to the array type once, as
  *     numpy casts a Python float to the array's dtype;
  *   - min, max and clip return NaN where numpy's do (fmin/fmax would not);
@@ -15,8 +19,15 @@
  * weights and returns the number of weights that left their level's interval
  * (lo, hi], writing their flat indices in ascending order. step0 (m* = 0) does
  * moments, step, clip and compare in one pass. The constants are in k[], in
- * the order of the K_* names.
+ * the order of the K_* names. relevel re-projects the moved weights.
+ *
+ * The batch-norm loops take a C-ordered (n, d) batch with n >= 1 and d >= 2.
+ * For d >= 2 numpy sums such an array over axis 0 row by row, starting from
+ * +0.0, which the column loops repeat; for d = 1 it sums pairwise, so a
+ * width-1 layer stays numpy. A mean divides the sum by numpy's intp count, a
+ * division numpy makes in double precision.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 
@@ -141,3 +152,152 @@ static inline int64_t moved_indices(int64_t b, int64_t e, const unsigned char *f
 
 DEFINE_STEP(float, f32, sqrtf, fabsf)
 DEFINE_STEP(double, f64, sqrt, fabs)
+
+/* relevel: the level of each moved weight by binary search on the midpoints
+ * (a weight on a midpoint takes the lower level, as QuantGrid.project_idx
+ * counts the midpoints below it), then level_idx, w_quant, the bounds (lo, hi]
+ * and, where up is not null, the side slopes patched from the per-level tables
+ * (the *_of arrays). Returns -1, having written nothing, if a moved weight is
+ * not finite. */
+#define DEFINE_RELEVEL(T, SUF)                                                           \
+    int64_t relevel_##SUF(int64_t count, const int64_t *restrict moved,                  \
+                          const T *restrict w, int64_t n_mids,                           \
+                          int16_t *restrict level_idx, T *restrict wq, T *restrict lo,   \
+                          T *restrict hi, T *restrict up, T *restrict nl,                \
+                          const T *restrict mids, const T *restrict levels,              \
+                          const T *restrict lo_of, const T *restrict hi_of,              \
+                          const T *restrict up_of, const T *restrict nl_of)              \
+    {                                                                                    \
+        for (int64_t c = 0; c < count; c++)                                              \
+            if (!isfinite(w[moved[c]]))                                                  \
+                return -1;                                                               \
+        for (int64_t c = 0; c < count; c++) {                                            \
+            const int64_t i = moved[c];                                                  \
+            const T x = w[i];                                                            \
+            int64_t a = 0, b = n_mids; /* midpoints [0, a) are below x, [b, n) not */    \
+            while (a < b) {                                                              \
+                int64_t mid = a + (b - a) / 2;                                           \
+                if (mids[mid] < x)                                                       \
+                    a = mid + 1;                                                         \
+                else                                                                     \
+                    b = mid;                                                             \
+            }                                                                            \
+            level_idx[i] = (int16_t)a;                                                   \
+            wq[i] = levels[a];                                                           \
+            lo[i] = lo_of[a];                                                            \
+            hi[i] = hi_of[a];                                                            \
+            if (up) {                                                                    \
+                up[i] = up_of[a];                                                        \
+                nl[i] = nl_of[a];                                                        \
+            }                                                                            \
+        }                                                                                \
+        return 0;                                                                        \
+    }
+
+DEFINE_RELEVEL(float, f32)
+DEFINE_RELEVEL(double, f64)
+
+/* Batch norm and ReLU, train mode. Forward: the column mean and variance of x
+ * (BatchNorm.forward's x.mean(axis=0) and x.var(axis=0)), the running
+ * statistics, xhat = (x - mu) / sqrt(var + eps) and the ReLU output
+ * a = y > 0 ? y : 0 of y = gamma * xhat + beta; mu and den are d scratch
+ * values each. Backward: dy = delta * (a > 0), dgamma and dbeta, and dx
+ * through the batch statistics as BatchNorm.backward computes it; m1, m2 and
+ * inv are d scratch values each.
+ *
+ * Both return 1, having changed no state, where an input is not finite (in
+ * forward: a mean, a variance or a parameter; that covers every x), and 0
+ * when done. Where two NaNs of different bits meet in an add or a multiply,
+ * numpy keeps one or the other depending on the array length, so only numpy
+ * can give its own bits there; finite inputs make NaNs only of the one
+ * default kind, which any order keeps. The checks of per-column values
+ * return from inside their loop, which keeps those short loops scalar and
+ * the build short. */
+#define DEFINE_BN(T, SUF, SQRT, FABS, BIG)                                               \
+    int64_t bn_forward_##SUF(int64_t n, int64_t d, const T *restrict x,                  \
+                          const T *restrict gamma, const T *restrict beta,               \
+                          T *restrict running_mean, T *restrict running_var,             \
+                          T *restrict var, T *restrict xhat, T *restrict a,              \
+                          T *restrict mu, T *restrict den, double eps_,                  \
+                          double momentum_, double unbias_)                              \
+    {                                                                                    \
+        const T eps = eps_, momentum = momentum_, unbias = unbias_, zero = 0;            \
+        for (int64_t j = 0; j < d; j++)                                                  \
+            mu[j] = var[j] = 0;                                                          \
+        for (int64_t i = 0; i < n; i++)                                                  \
+            for (int64_t j = 0; j < d; j++)                                              \
+                mu[j] = mu[j] + x[i * d + j];                                            \
+        for (int64_t j = 0; j < d; j++) {                                                \
+            mu[j] = (T)((double)mu[j] / (double)n);                                      \
+            if (!(FABS(mu[j]) <= BIG))                                                   \
+                return 1;                                                                \
+        }                                                                                \
+        for (int64_t i = 0; i < n; i++)                                                  \
+            for (int64_t j = 0; j < d; j++) {                                            \
+                T c = x[i * d + j] - mu[j];                                              \
+                var[j] = var[j] + c * c;                                                 \
+            }                                                                            \
+        for (int64_t j = 0; j < d; j++) {                                                \
+            var[j] = (T)((double)var[j] / (double)n);                                    \
+            if (!((FABS(var[j]) <= BIG) & (FABS(gamma[j]) <= BIG) &                      \
+                  (FABS(beta[j]) <= BIG) & (FABS(running_mean[j]) <= BIG) &              \
+                  (FABS(running_var[j]) <= BIG)))                                        \
+                return 1;                                                                \
+        }                                                                                \
+        for (int64_t j = 0; j < d; j++) {                                                \
+            T v = var[j];                                                                \
+            den[j] = SQRT(v + eps);                                                      \
+            running_mean[j] = running_mean[j] + momentum * (mu[j] - running_mean[j]);    \
+            running_var[j] = running_var[j] + momentum * (v * unbias - running_var[j]);  \
+        }                                                                                \
+        for (int64_t i = 0; i < n; i++)                                                  \
+            for (int64_t j = 0; j < d; j++) {                                            \
+                T h = (x[i * d + j] - mu[j]) / den[j];                                   \
+                T y = gamma[j] * h + beta[j];                                            \
+                xhat[i * d + j] = h;                                                     \
+                a[i * d + j] = y > zero ? y : zero;                                      \
+            }                                                                            \
+        return 0;                                                                        \
+    }                                                                                    \
+                                                                                         \
+    int64_t bn_backward_##SUF(int64_t n, int64_t d, const T *restrict delta,             \
+                           const T *restrict a, const T *restrict xhat,                  \
+                           const T *restrict var, const T *restrict gamma,               \
+                           T *restrict dx, T *restrict dgamma, T *restrict dbeta,        \
+                           T *restrict m1, T *restrict m2, T *restrict inv, double eps_) \
+    {                                                                                    \
+        const T eps = eps_, zero = 0, one = 1;                                           \
+        for (int64_t j = 0; j < d; j++)                                                  \
+            dgamma[j] = dbeta[j] = m1[j] = m2[j] = 0;                                    \
+        int ok = 1;                                                                      \
+        for (int64_t i = 0; i < n; i++)                                                  \
+            for (int64_t j = 0; j < d; j++) {                                            \
+                const T dr = delta[i * d + j], hr = xhat[i * d + j];                     \
+                ok &= (FABS(dr) <= BIG) & (FABS(hr) <= BIG);                             \
+                T dy = dr * (T)(a[i * d + j] > zero);                                    \
+                T dxh = dy * gamma[j];                                                   \
+                dgamma[j] = dgamma[j] + dy * hr;                                         \
+                dbeta[j] = dbeta[j] + dy;                                                \
+                m1[j] = m1[j] + dxh;                                                     \
+                m2[j] = m2[j] + dxh * hr;                                                \
+            }                                                                            \
+        if (!ok)                                                                         \
+            return 1;                                                                    \
+        for (int64_t j = 0; j < d; j++) {                                                \
+            if (!((FABS(gamma[j]) <= BIG) & (FABS(var[j]) <= BIG)))                      \
+                return 1;                                                                \
+            m1[j] = (T)((double)m1[j] / (double)n);                                      \
+            m2[j] = (T)((double)m2[j] / (double)n);                                      \
+            inv[j] = one / SQRT(var[j] + eps);                                           \
+        }                                                                                \
+        for (int64_t i = 0; i < n; i++)                                                  \
+            for (int64_t j = 0; j < d; j++) {                                            \
+                const int64_t k = i * d + j;                                             \
+                T dxh = (delta[k] * (T)(a[k] > zero)) * gamma[j];                        \
+                dx[k] = inv[j] * ((dxh - m1[j]) - xhat[k] * m2[j]);                      \
+            }                                                                            \
+        return 0;                                                                        \
+    }
+
+DEFINE_BN(float, f32, sqrtf, fabsf, FLT_MAX)
+DEFINE_BN(double, f64, sqrt, fabs, DBL_MAX)

@@ -389,9 +389,11 @@ def train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     Each layer's hidden weights take ``metaplastic_update`` and ``set_hidden``,
     its batch norm ``bn_update``, on ``Adam.directions``; where a C compiler is
     found, the compiled step (``optim._fused_update``) does the weights' part,
-    Adam moments included, with the same bits. A ``metaplastic_update``
-    replaced in this module (a timing wrapper, a stand-in) is called for every
-    layer instead, so it sees every update.
+    Adam moments and the re-projection of the moved weights included, with
+    the same bits, and ``loss_grads`` runs the batch norms compiled too (see
+    ``net``). A ``metaplastic_update`` replaced in this module (a timing
+    wrapper, a stand-in) is called for every layer instead, so it sees every
+    update; the batch norms stay compiled.
     """
     loss, grads, _ = mlp.loss_grads(x, y)
     lib = optim._step_library() if metaplastic_update is optim.metaplastic_update else None

@@ -14,6 +14,19 @@ The ReLU is an in-place ``fmax(z, 0)``, not ``np.where`` on the mask ``z > 0``:
 a masked select runs a branchy per-element loop, over ten times the cost on
 a random mask. Backward needs no mask of its own: the ReLU output, which the
 tape records as the next layer's input, is positive exactly where ``z > 0``.
+
+In train mode, where the compiled library of ``optim._step_library`` loads,
+a hidden layer's batch norm and ReLU run as one compiled loop forward
+(statistics, running statistics, ``xhat`` and the ReLU output) and one
+backward (the ReLU gate, ``dgamma``, ``dbeta`` and ``dx``), with the bits of
+``BatchNorm`` and the ``fmax`` ReLU. Those stay as the path without a C
+compiler and as the loops' test oracle, and they run wherever the loops
+cannot give numpy's bits: on a layer 1 wide, because numpy sums a single
+column pairwise where the loops (like numpy for 2 or more columns) add row
+by row; on a non-finite batch statistic, parameter or backward input,
+because numpy's choice between two NaNs depends on the array length; and on
+a batch whose dtype is not the batch norm's (a tile of another dtype).
+Eval mode is numpy only, so evaluation never builds the library.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import optim
 from .quantgrid import QuantGrid
 
 __all__ = [
@@ -97,6 +111,63 @@ class BatchNorm:
         return dx, dgamma, dbeta
 
 
+def _compiled_bn(lib, bn, *batches):
+    """True where the compiled batch-norm loops take these (n, d) batches.
+
+    They need the library, C-ordered batches in the batch norm's dtype, n >= 1
+    and d >= 2: numpy sums a width-1 column pairwise, not row by row, so a
+    width-1 layer runs ``BatchNorm`` and the ``fmax`` ReLU. The batch norm's
+    own four arrays are C-ordered in its dtype and width by construction
+    (``__init__``, ``MLP.set_bn_state``; ``bn_update`` writes in place).
+    """
+    n, d = batches[0].shape
+    return lib is not None and n >= 1 and d >= 2 and d == bn.gamma.size and all(
+        b.dtype == bn.gamma.dtype and b.flags.c_contiguous for b in batches)
+
+
+def _bn_relu_forward(lib, bn, z):
+    """``BatchNorm.forward(z, True)`` and the ReLU, compiled: (relu output, cache).
+
+    None, with no state changed, where ``_compiled_bn`` refuses ``z`` or a
+    batch statistic or a parameter is not finite: there only numpy gives
+    numpy's NaN bits (``_step.c``).
+    """
+    if not _compiled_bn(lib, bn, z):
+        return None
+    n, d = z.shape
+    xhat, a = np.empty_like(z), np.empty_like(z)
+    var, work = np.empty(d, z.dtype), np.empty(2 * d, z.dtype)  # work: mean, sqrt(var + eps)
+    fn = lib.bn_forward_f32 if z.dtype == np.float32 else lib.bn_forward_f64
+    pw = work.ctypes.data
+    if fn(n, d, z.ctypes.data, bn.gamma.ctypes.data, bn.beta.ctypes.data,
+          bn.running_mean.ctypes.data, bn.running_var.ctypes.data, var.ctypes.data,
+          xhat.ctypes.data, a.ctypes.data, pw, pw + d * z.itemsize,
+          bn.eps, bn.momentum, n / max(n - 1, 1)):
+        return None
+    return a, (xhat, var)
+
+
+def _bn_relu_backward(lib, bn, delta, a, cache):
+    """The ReLU gate on ``a`` and ``BatchNorm.backward``, compiled: (dx, dgamma, dbeta).
+
+    None where ``_compiled_bn`` refuses the batches or an input is not
+    finite, as in ``_bn_relu_forward``.
+    """
+    xhat, var = cache
+    if not _compiled_bn(lib, bn, delta, a, xhat):
+        return None
+    n, d = delta.shape
+    dx, dgamma, dbeta = np.empty_like(delta), np.empty(d, delta.dtype), np.empty(d, delta.dtype)
+    work = np.empty(3 * d, delta.dtype)  # the two column means and 1 / sqrt(var + eps)
+    fn = lib.bn_backward_f32 if delta.dtype == np.float32 else lib.bn_backward_f64
+    pw, step = work.ctypes.data, d * delta.itemsize
+    if fn(n, d, delta.ctypes.data, a.ctypes.data, xhat.ctypes.data, var.ctypes.data,
+          bn.gamma.ctypes.data, dx.ctypes.data, dgamma.ctypes.data, dbeta.ctypes.data,
+          pw, pw + step, pw + 2 * step, bn.eps):
+        return None
+    return dx, dgamma, dbeta
+
+
 class DenseLayer:
     """One affine stage: hidden weights, their quantized image, optional BN.
 
@@ -123,9 +194,10 @@ class DenseLayer:
         self.level_idx, w_quant = grid.project(w)
         self.w_quant = w_quant.astype(w.dtype, copy=False)
         self._bounds = grid.level_bounds(self.level_idx, w.dtype)  # (lo, hi] of each level
-        self._slopes_m = None  # the m* that _slopes were built for
+        self._slopes_m = None  # the m* that _slopes and _slope_tables were built for
         self._slopes = None
-        self._work = None  # the compiled step's buffers (_step_buffers)
+        self._slope_tables = None  # per level, the slopes _slopes gathers
+        self._work = None  # the compiled step's buffers (optim._Work)
 
     @property
     def shape(self):
@@ -163,39 +235,26 @@ class DenseLayer:
         for bound, new in zip(self._bounds, self.grid.level_bounds(idx, w.dtype)):
             np.put(bound, moved, new)
         if self._slopes_m is not None and np.ndim(self._slopes[0]):
-            for slope, new in zip(self._slopes,
-                                  self.grid.side_slopes(idx, self._slopes_m, w.dtype)):
-                np.put(slope, moved, new)
+            for slope, table in zip(self._slopes, self._slope_tables):
+                np.put(slope, moved, table[idx])
         self.w_hidden = w
         return moved
-
-    def _step_buffers(self):
-        """The compiled step's (new weights, tanh scratch, moved indices) buffers.
-
-        Made at the layer's first compiled step; the hidden weights keep their
-        shape and dtype. The new weights go to whichever of two buffers the
-        hidden weights are not, so the buffers swap roles each step and an
-        array handed to the layer is never written.
-        """
-        w = self.w_hidden
-        if self._work is None:
-            self._work = ([np.empty_like(w), np.empty_like(w)], np.empty_like(w),
-                          np.empty(w.size, dtype=np.int64))
-        pair, scratch, index = self._work
-        return pair[w is pair[0]], scratch, index
 
     def side_slopes(self, m_star):
         """Every weight's ``grid.side_slopes`` for ``m_star``, kept by the layer.
 
         Built when ``m_star`` differs from the last call's (once per training
-        phase) and patched by ``set_hidden`` where a level changes, so a step
-        gathers no slope. Scalars on a grid of equal widths. At ``m_star`` 0
-        the update reads no slope: the last phase's are freed and None returned.
+        phase), with the per-level ``grid.slope_tables`` they come from, and
+        patched from those tables by ``set_hidden`` where a level changes, so
+        a step gathers no slope. Scalars on a grid of equal widths. At
+        ``m_star`` 0 the update reads no slope: the last phase's are freed and
+        None returned.
         """
         if not m_star:
-            self._slopes_m = self._slopes = None
+            self._slopes_m = self._slopes = self._slope_tables = None
         elif m_star != self._slopes_m:
             self._slopes = None  # freed before the new ones are built
+            self._slope_tables = self.grid.slope_tables(m_star, self.w_hidden.dtype)
             self._slopes = self.grid.side_slopes(self.level_idx, m_star, self.w_hidden.dtype)
             self._slopes_m = m_star
         return self._slopes
@@ -250,6 +309,7 @@ class MLP:
         a = np.asarray(x, dtype=self.dtype)
         if a.ndim != 2 or a.shape[1] != self.dims[0]:
             raise ValueError(f"expected input of shape (batch, {self.dims[0]}), got {a.shape}")
+        lib = optim._step_library() if train else None
         for layer in self.layers:
             if tape is not None:
                 tape.inputs.append(a)
@@ -257,11 +317,15 @@ class MLP:
             if layer.bn is None:
                 a = z
                 continue
-            zb, cache = layer.bn.forward(z, train)
+            out = _bn_relu_forward(lib, layer.bn, z)
+            if out is not None:
+                a, cache = out
+            else:
+                zb, cache = layer.bn.forward(z, train)
+                a = np.fmax(zb, 0.0, out=zb)  # NaN -> 0, as a masked select gives
+                a += 0.0  # the -0.0 fmax may keep -> +0.0; every other value stays
             if tape is not None:
                 tape.bn_caches.append(cache)
-            a = np.fmax(zb, 0.0, out=zb)  # NaN -> 0, as a masked select gives
-            a += 0.0  # the -0.0 fmax may keep -> +0.0; every other value stays
         return a
 
     def backward(self, tape: ForwardTape, labels):
@@ -275,13 +339,17 @@ class MLP:
         if tape is None or tape.logits is None:
             raise RuntimeError("backward needs the tape of a training-mode forward pass")
         loss, delta = softmax_cross_entropy(tape.logits, labels)
+        lib = optim._step_library()
         grads = {}
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
             if layer.bn is not None:
-                delta = delta * (tape.inputs[i + 1] > 0)  # the ReLU output, > 0 where zb > 0
-                delta, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = layer.bn.backward(
-                    delta, tape.bn_caches[i])
+                relu_out, cache = tape.inputs[i + 1], tape.bn_caches[i]
+                out = _bn_relu_backward(lib, layer.bn, delta, relu_out, cache)
+                if out is None:
+                    delta = delta * (relu_out > 0)  # the ReLU output, > 0 where zb > 0
+                    out = layer.bn.backward(delta, cache)
+                delta, grads[f"bn{i}.gamma"], grads[f"bn{i}.beta"] = out
             grads[f"w{i}"] = tape.inputs[i].T @ delta
             if i > 0:  # the input layer's input gradient is never used
                 delta = layer.matmul_backward(delta)

@@ -11,8 +11,13 @@ level, and all batch-norm updates, are applied at full strength.
 compiled step (``_step.c``) computes its bits, Adam moments included, in a
 few loops per layer, reading the side slopes each layer keeps
 (``DenseLayer.side_slopes``); training runs it wherever a C compiler is
-found, and the formula is its fallback and its test oracle. Either way the
-layer then re-projects only the weights that left their level.
+found, and the formula is its fallback and its test oracle. Either way only
+the weights that left their level are re-projected: by the library's
+binary search and per-level tables on the compiled path (``_relevel``), by
+``DenseLayer._relevel`` on the numpy path. The library also holds the
+train-mode batch norm and ReLU that ``net.MLP`` runs; this module builds and
+loads it once per process, at the first train-mode forward pass (in training,
+the first step's).
 """
 
 from __future__ import annotations
@@ -147,7 +152,12 @@ def bn_update(bn, u_gamma, u_beta, lr):
 
 # -- the compiled step -------------------------------------------------------------
 
-_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+# -O2 with -O3's vectorizer cost model, and no vector loop of its own for the few
+# elements after the last full vector (they run scalar): the loops run as fast
+# as at -O3 and build in about half the time. The last two are gcc options;
+# clang is meant to ignore them (not tested).
+_CFLAGS = ("-O2", "-fvect-cost-model=dynamic", "--param=vect-epilogues-nomask=0",
+           "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _lib = None  # the loaded _step.c; False once it could not be built
 _build_lock = threading.Lock()
 
@@ -185,13 +195,59 @@ def _build_step():
         return None
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    for loop in ("f32", "f64"):  # a weight count, then pointers; step2 and step0 count moves
-        for step, arrays, restype in (("step1", 10, None), ("step2", 7, ctypes.c_int64),
-                                      ("step0", 9, ctypes.c_int64)):
-            fn = getattr(lib, f"{step}_{loop}")
-            fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * arrays
+    i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    for loop in ("f32", "f64"):  # counts first, then pointers, then double constants
+        for name, args, restype in (("step1", [i64] + [ptr] * 10, None),
+                                    ("step2", [i64] + [ptr] * 7, i64),
+                                    ("step0", [i64] + [ptr] * 9, i64),
+                                    ("relevel", [i64, ptr, ptr, i64] + [ptr] * 12, i64),
+                                    ("bn_forward", [i64, i64] + [ptr] * 10 + [dbl] * 3, i64),
+                                    ("bn_backward", [i64, i64] + [ptr] * 11 + [dbl], i64)):
+            fn = getattr(lib, f"{name}_{loop}")
+            fn.argtypes = args
             fn.restype = restype
     return lib
+
+
+_K = 12  # constants in k, in the order of _step.c's K_* names
+
+
+class _Work:
+    """One layer's compiled-step buffers and loops.
+
+    Made at the layer's first compiled step; the hidden weights keep their
+    shape and dtype. The new weights go to whichever of two buffers the hidden
+    weights are not, so the buffers swap roles each step and an array handed
+    to the layer is never written.
+    """
+
+    def __init__(self, lib, w):
+        loop = "f32" if w.dtype == np.float32 else "f64"
+        self.step1, self.step2, self.step0, self.relevel = (
+            getattr(lib, f"{name}_{loop}") for name in ("step1", "step2", "step0", "relevel"))
+        self.pair = (np.empty_like(w), np.empty_like(w))
+        self.scratch = np.empty_like(w)  # plasticity's tanh argument
+        self.index = np.empty(w.size, dtype=np.int64)  # moved flat indices
+        self.k = np.empty(_K, dtype=np.float64)
+        self.pair_ptrs = tuple(a.ctypes.data for a in self.pair)
+        self.scratch_ptr, self.index_ptr, self.k_ptr = (
+            a.ctypes.data for a in (self.scratch, self.index, self.k))
+
+
+def _level_ptrs(layer):
+    """Addresses of the layer's level state and the grid's per-level tables.
+
+    In ``relevel``'s order: level_idx, w_quant, lo, hi, the upper and the
+    negated lower slope, then the per-level midpoints, values, lo, hi and the
+    two slopes; None for slopes the layer does not keep per weight.
+    ``side_slopes`` must have been called for this step's m*.
+    """
+    slopes = tables = (None, None)
+    if layer._slopes_m is not None and np.ndim(layer._slopes[0]):
+        slopes, tables = layer._slopes, layer._slope_tables
+    return tuple(None if a is None else a.ctypes.data
+                 for a in (layer.level_idx, layer.w_quant, *layer._bounds, *slopes,
+                           *layer.grid.level_tables(layer.w_hidden.dtype), *tables))
 
 
 def _fused_update(lib, layer, adam, name, g, m_star, lr):
@@ -200,38 +256,52 @@ def _fused_update(lib, layer, adam, name, g, m_star, lr):
     ``adam.t`` must already count this step (``Adam.directions`` advances it)
     and slot ``name`` be made for ``g`` (``Adam._slots``). Returns the flat
     indices whose level changed, as ``set_hidden`` does; they stay valid until
-    the layer's next step. A non-finite new weight raises
-    ``FloatingPointError`` and leaves the layer as it was, its moments updated;
-    a gradient not C-ordered in the layer's shape and dtype raises ValueError.
+    the layer's next step. The moved weights are re-projected by ``_relevel``.
+    A non-finite new weight raises ``FloatingPointError`` and leaves the layer
+    as it was, its moments updated; a gradient not C-ordered in the layer's
+    shape and dtype raises ValueError.
     """
-    w, grid, (lo, hi) = layer.w_hidden, layer.grid, layer._bounds
+    w, grid = layer.w_hidden, layer.grid
     if (g.dtype, g.shape) != (w.dtype, w.shape) or not g.flags.c_contiguous:
         raise ValueError(f"gradient {g.dtype}{g.shape} does not fit layer {w.dtype}{w.shape}")
-    m, v = adam.slots[name]
     slopes = layer.side_slopes(m_star)
-    out, arg, index = layer._step_buffers()
-    up = neg_lower = None  # per-weight slopes; a grid of equal widths passes its one in k
-    slope = 0.0
+    slope = 0.0  # a grid of equal widths passes its one slope in k
     if m_star != 0.0:
         check_m_star(m_star)
-        if np.ndim(slopes[0]):
-            up, neg_lower = slopes
-        else:
+        if not np.ndim(slopes[0]):
             slope = slopes[0]
-    k = np.array([adam.beta1, 1.0 - adam.beta1, adam.beta2, 1.0 - adam.beta2,
-                  1.0 - adam.beta1 ** adam.t, 1.0 - adam.beta2 ** adam.t, adam.eps, lr,
-                  m_star, slope, grid.hidden_lo, grid.hidden_hi], dtype=np.float64)
-    loop = "f32" if w.dtype == np.float32 else "f64"
+    work = layer._work
+    if work is None:
+        work = layer._work = _Work(lib, w)
+    pm, pv = (a.ctypes.data for a in adam.slots[name])
+    levels = _level_ptrs(layer)
+    _, pwq, plo, phi, pup, pnl = levels[:6]
+    new = 1 if w is work.pair[0] else 0  # the buffer the new weights go to
+    pout = work.pair_ptrs[new]
+    pw = work.pair_ptrs[1 - new] if w is work.pair[1 - new] else w.ctypes.data
+    work.k[:] = (adam.beta1, 1.0 - adam.beta1, adam.beta2, 1.0 - adam.beta2,
+                 1.0 - adam.beta1 ** adam.t, 1.0 - adam.beta2 ** adam.t, adam.eps, lr,
+                 m_star, slope, grid.hidden_lo, grid.hidden_hi)
+    n, pg = w.size, g.ctypes.data
     if m_star == 0.0:
-        count = _run(lib, "step0", loop, w.size, g, m, v, w, out, lo, hi, index, k)
+        count = work.step0(n, pg, pm, pv, pw, pout, plo, phi, work.index_ptr, work.k_ptr)
     else:
-        _run(lib, "step1", loop, w.size, g, m, v, w, layer.w_quant, up, neg_lower, arg, out, k)
-        np.tanh(arg, out=arg)
-        count = _run(lib, "step2", loop, w.size, w, arg, out, lo, hi, index, k)
-    return layer._relevel(out, index[:count])
+        work.step1(n, pg, pm, pv, pw, pwq, pup, pnl, work.scratch_ptr, pout, work.k_ptr)
+        np.tanh(work.scratch, out=work.scratch)
+        count = work.step2(n, pw, work.scratch_ptr, pout, plo, phi, work.index_ptr, work.k_ptr)
+    return _relevel(layer, new, count, levels)
 
 
-def _run(lib, step, loop, n, *arrays):
-    """Call the library's ``<step>_<loop>`` on ``n`` weights; None passes a null pointer."""
-    return getattr(lib, f"{step}_{loop}")(n, *(None if a is None else a.ctypes.data
-                                                for a in arrays))
+def _relevel(layer, new, count, levels):
+    """``layer._relevel(work.pair[new], work.index[:count])`` in the library.
+
+    ``work`` is ``layer._work`` and ``levels`` is ``_level_ptrs(layer)``. A
+    non-finite weight among the moved raises ``FloatingPointError`` before
+    the layer changes.
+    """
+    work = layer._work
+    if count and work.relevel(count, work.index_ptr, work.pair_ptrs[new],
+                              layer.grid.n - 1, *levels):
+        raise FloatingPointError("hidden weights must be finite")
+    layer.w_hidden = work.pair[new]
+    return work.index[:count]

@@ -3,8 +3,10 @@
 The compiled step (``_step.c``) is compared with the plain rule it stands in
 for (``optim.metaplastic_update``), with and without a C compiler; the plain
 rule itself has no second copy, so ``TestUpdateOracle`` checks its own
-properties. Every comparison is on bytes: values, dtype and shape, so a -0.0
-for a 0.0 or a changed RNG draw order fails as loudly as a wrong level.
+properties. The library's re-projection is compared with
+``DenseLayer._relevel``, its batch norm and ReLU with ``BatchNorm`` and the
+``fmax`` ReLU. Every comparison is on bytes: values, dtype and shape, so a
+-0.0 for a 0.0 or a changed RNG draw order fails as loudly as a wrong level.
 """
 
 import ctypes
@@ -19,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memqnn import harness, optim, xbar
+from memqnn import harness, net, optim, xbar
 from memqnn.data import TaskSpec
 from memqnn.device import CellArray, LevelSpec, N_LEVELS, default_levelspec
 from memqnn.errors import ConfigError
-from memqnn.net import MLP, DenseLayer, ForwardTape, init_hidden_uniform
+from memqnn.net import MLP, BatchNorm, DenseLayer, ForwardTape, init_hidden_uniform
 from memqnn.optim import Adam, metaplastic_update
 from memqnn.quantgrid import QuantGrid, uniform_grid
 from memqnn.xbar import HALF_SPAN, CrossbarTile, derive_grid, dump_tiles_tsv, encode_levels
@@ -787,9 +789,9 @@ def outcome(step, *args):
         return type(e)
 
 
-def assert_same_state(a, b, adam_a, adam_b):
-    """Layer ``a`` stepped compiled and ``b`` by the plain rule hold the same state,
-    and the slopes ``a`` keeps equal slopes rebuilt from its levels."""
+def assert_same_levels(a, b):
+    """Layers ``a`` and ``b`` hold the same weights and level state, and the
+    slopes ``a`` keeps equal slopes rebuilt from its levels."""
     for attr in ("w_hidden", "w_quant", "level_idx"):
         assert same_bytes(getattr(a, attr), getattr(b, attr)), attr
     for x, y in zip(a._bounds, b._bounds):
@@ -798,6 +800,13 @@ def assert_same_state(a, b, adam_a, adam_b):
         rebuilt = rebuilt_slopes(a.grid, a.level_idx, a._slopes_m, a.w_hidden.dtype)
         for x, y in zip(a._slopes, rebuilt):
             assert same_bytes(np.broadcast_to(x, a.shape), y)
+        if b._slopes is not None:  # the plain rule's steps keep none
+            assert all(same_bytes(x, y) for x, y in zip(a._slopes, b._slopes))
+
+
+def assert_same_state(a, b, adam_a, adam_b):
+    """Layer ``a`` stepped compiled and ``b`` by the plain rule hold the same state."""
+    assert_same_levels(a, b)
     assert adam_a.t == adam_b.t
     for x, y in zip(adam_a.slots["w"], adam_b.slots["w"]):
         assert same_bytes(x, y)
@@ -850,6 +859,24 @@ class TestCompiledStep:
                     compiled_step(step_lib, layer, Adam(), g, m_star, 0.05)
                 after = (layer.w_hidden, layer.w_quant, layer.level_idx)
                 assert all(same_bytes(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("path", ["c", "numpy"])
+    def test_zero_plasticity_takes_no_away_step(self, step_lib, path):
+        """In float32 a weight 0.001 above a level has plasticity exactly 0 at m*=11,
+        so an away step leaves it where it is, on either path."""
+        grid = uniform_grid(17, -1.5, 1.5)
+        w = np.full((2, 3), np.float32(grid.levels[9]) + np.float32(0.001))
+        assert np.all(grid.plasticity(w, 10.0) > 0.0)
+        assert same_bytes(grid.plasticity(w, 11.0), np.zeros(w.shape, np.float32))
+        layer = DenseLayer(w.copy(), grid)
+        g = np.full(w.shape, -1.0, np.float32)  # u < 0: the step w - lr * u leads away
+        step = compiled_step if path == "c" else lambda lib, *args: numpy_step(*args)
+        for _ in range(3):
+            assert step(step_lib, layer, Adam(), g, 11.0, 0.05).size == 0
+            assert same_bytes(layer.w_hidden, w)
+        # the plain step moves it away
+        assert np.all(metaplastic_update(w, layer.w_quant, -np.ones_like(w), grid, 0.0, 0.05,
+                                         layer.level_idx) > w)
 
     def test_steps_across_m_star_changes(self, step_lib):
         """Slopes are built, patched at each flip, rebuilt for a new m* and freed at 0."""
@@ -1010,6 +1037,118 @@ class TestCompiledStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert optim._step_library() is None
+
+
+class TestCompiledRelevel:
+    """``optim._relevel`` (the library's re-projection) against ``DenseLayer._relevel``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["uniform", "device", "explicit-80"]),
+           seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
+           m_star=st.sampled_from([0.0, 3.0]), bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    def test_bit_equal_relevel(self, step_lib, kind, seed, dtype, m_star, bad):
+        rng = np.random.default_rng(seed)
+        grid = {"uniform": lambda: uniform_grid(17, -1.5, 1.5),
+                "device": lambda: device_grid(rng).grid,
+                "explicit-80": lambda: QuantGrid(EXPLICIT_80)}[kind]()
+        ours, theirs = twin_layers(grid, grid.clip_hidden(
+            hidden_weights(rng, grid, dtype, (9, 13))))
+        for layer in (ours, theirs):
+            layer.side_slopes(m_star)
+        work = ours._work = optim._Work(step_lib, ours.w_hidden)
+        for step in range(3):
+            # weights beyond the clip ends, on midpoints, levels and the clip ends
+            w = hidden_weights(rng, grid, dtype, ours.shape, spread=0.5)
+            if bad is not None and step == 2:
+                w.flat[rng.integers(w.size)] = bad
+            lo, hi = theirs._bounds
+            moved = np.flatnonzero(~((w > lo) & (w <= hi)))
+            new = 1 if ours.w_hidden is work.pair[0] else 0
+            work.pair[new][...] = w
+            work.index[:moved.size] = moved
+            before = ours.w_hidden
+            got = outcome(optim._relevel, ours, new, moved.size, optim._level_ptrs(ours))
+            want = outcome(theirs._relevel, w, moved)
+            assert got == want
+            if isinstance(want, bytes):
+                assert ours.w_hidden is work.pair[new]
+            else:  # the non-finite weight: refused before any change
+                assert ours.w_hidden is before
+                theirs.w_hidden = before
+            assert_same_levels(ours, theirs)
+
+
+def numpy_bn_relu(bn, z):
+    """The batch norm and ReLU of ``MLP.forward`` without the library: the oracle."""
+    zb, cache = bn.forward(z, True)
+    a = np.fmax(zb, 0.0, out=zb)
+    a += 0.0
+    return a, cache
+
+
+def bn_batch(rng, dtype, n, d, plant):
+    """A batch with some columns of -0.0 (they sum to +0.0) and, if ``plant``,
+    NaN and +-inf entries."""
+    z = (rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)).astype(dtype)
+    z[:, rng.random(d) < 0.2] = -0.0
+    if plant:
+        pick = rng.random((n, d)) < 0.05
+        z[pick] = rng.choice(np.array([np.nan, np.inf, -np.inf], dtype), pick.sum())
+    return z
+
+
+class TestCompiledBatchNorm:
+    """The library's train-mode batch norm and ReLU (``net._bn_relu_forward`` and
+    ``net._bn_relu_backward``) against ``BatchNorm`` and the ``fmax`` ReLU.
+
+    A width-1 layer must take the numpy path (numpy sums one column pairwise),
+    and non-finite inputs send the call back to numpy with no state changed;
+    every other call runs compiled.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
+           n=st.sampled_from([1, 2, 3, 100]), d=st.sampled_from([1, 2, 3, 24, 513]),
+           plant=st.booleans(), frac=st.sampled_from([0.0, 0.3]))
+    def test_forward_backward_bit_equal(self, step_lib, seed, dtype, n, d, plant, frac):
+        rng = np.random.default_rng(seed)
+        ours, theirs = BatchNorm(d, dtype), BatchNorm(d, dtype)
+        ours.gamma[:] = rng.uniform(0.5, 1.5, d)
+        ours.beta[:] = rng.normal(0.0, 0.5, d)
+        ours.running_mean[:] = rng.normal(0.0, 1.0, d)
+        ours.running_var[:] = rng.uniform(0.5, 4.0, d)
+        plant_specials(rng, ours, frac)  # -0.0, NaN, +-inf and subnormal parameters
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            setattr(theirs, name, getattr(ours, name).copy())
+        clean = not plant and frac == 0.0
+        z = bn_batch(rng, dtype, n, d, plant)
+        z_before, stats = z.copy(), (ours.running_mean.copy(), ours.running_var.copy())
+        assert net._compiled_bn(step_lib, ours, z) == (d >= 2)
+        with np.errstate(all="ignore"):
+            got = net._bn_relu_forward(step_lib, ours, z)
+            assert (got is not None) == (d >= 2) or not clean
+            if got is None:  # declined: nothing changed, numpy runs
+                assert same_bytes(ours.running_mean, stats[0])
+                assert same_bytes(ours.running_var, stats[1])
+                got = numpy_bn_relu(ours, z)
+            want = numpy_bn_relu(theirs, z_before.copy())
+        assert same_bytes(z, z_before)
+        assert same_bytes(got[0], want[0])
+        assert all(same_bytes(u, v) for u, v in zip(got[1], want[1]))  # xhat, var
+        for name in ("running_mean", "running_var"):
+            assert same_bytes(getattr(ours, name), getattr(theirs, name)), name
+        # backward from the forward's own outputs, the incoming error with
+        # -0.0 and, if planted, NaN and +-inf
+        delta = bn_batch(rng, dtype, n, d, plant)
+        a, cache = got
+        with np.errstate(all="ignore"):
+            out = net._bn_relu_backward(step_lib, ours, delta, a, cache)
+            assert (out is not None) == (d >= 2) or not clean
+            if out is None:
+                out = ours.backward(delta * (a > 0), cache)
+            ref = theirs.backward(delta * (want[0] > 0), want[1])
+        for u, v in zip(out, ref):  # dx, dgamma, dbeta
+            assert same_bytes(u, v)
 
 
 EXPLICIT_80 = (1.5 * np.sinh(np.linspace(-2.0, 2.0, 80)) / np.sinh(2.0)).tolist()

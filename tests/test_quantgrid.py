@@ -44,6 +44,12 @@ class TestConstruction:
         again = QuantGrid(grid17.levels.tolist())
         assert np.array_equal(again.levels, grid17.levels)
 
+    def test_level_count_fits_int16(self):
+        """Level indices are int16, so the largest grid has 32767 levels."""
+        assert QuantGrid(np.arange(32767.0)).n == 32767
+        with pytest.raises(ConfigError, match="32767"):
+            QuantGrid(np.arange(32768.0))
+
 
 class TestProjection:
     def test_example_0p10(self, grid17):
@@ -101,6 +107,22 @@ class TestProjection:
         i32, _ = grid17.project(w)
         i64, _ = grid17.project(w.astype(np.float64))
         assert np.array_equal(np.asarray(i32, np.int64), np.asarray(i64, np.int64))
+
+    @pytest.mark.parametrize("n", [2, 17, 64, 65, 80, 32767])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_level_index_is_int16(self, n, dtype):
+        """One index type for the counting loop (up to 64 levels), the binary
+        search (above) and scalar input, with the counting loop's indices."""
+        g = QuantGrid(np.cumsum(np.random.default_rng(n).uniform(0.5, 1.5, n)))
+        w = np.concatenate((g.levels, g.midpoints, [g.hidden_lo, g.hidden_hi])).astype(dtype)
+        w = np.random.default_rng(0).permutation(w)[:300]
+        idx = g.project_idx(w)
+        assert idx.dtype == np.int16
+        counted = np.zeros(w.shape, np.int64)
+        for m in g.level_tables(dtype)[0]:
+            counted += w > m
+        assert np.array_equal(idx, counted)
+        assert g.project_idx(w[3]).dtype == np.int16
 
 
 class TestPlasticity:

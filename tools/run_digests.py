@@ -18,7 +18,11 @@ Builds the two synthetic IDX tasks the test suite uses, then runs:
   - one more exact float64 run, hashed the same way, on the uneven 80-level
     explicit grid ``1.5 * sinh(linspace(-2, 2, 80)) / sinh(2)``: projection
     by binary search (grids above 64 levels) and per-weight plasticity
-    slopes without a tile.
+    slopes without a tile;
+  - one more exact float32 run, hashed the same way, at dims 64-1-24-10 with
+    ``batch_size`` 5: the 1536-row training split ends every epoch on a
+    1-row batch, and the first hidden layer is 1 wide, so a width-1 batch
+    norm (which numpy sums pairwise) and a batch of one both run.
 
 One line per digest: ``<run> <file> <sha256>``, with ``<file>`` spelled
 ``checkpoint.npz:<array>`` for a checkpoint array. Two trees that print the
@@ -110,6 +114,10 @@ def main():
         harness.run_sequential(dataclasses.replace(
             _config(data, work / label, "exact", "float64"), grid_source="explicit",
             grid_level_values=levels.tolist()))
+        print_run(label, work / label)
+        label = "exact-float32-64-1-24-10-batch-5"
+        harness.run_sequential(dataclasses.replace(
+            _config(data, work / label, "exact", "float32"), dims=(64, 1, 24, 10), batch_size=5))
         print_run(label, work / label)
     print("step path:", "c" if optim._step_library() else "numpy", file=sys.stderr)
 
