@@ -15,11 +15,13 @@
  *   - tanh is numpy's, applied between step1 and step2: libm's gives other bits.
  *
  * step1 (m* > 0) updates the moments, writes lr * u to the new-weight buffer
- * and the tanh argument to a scratch buffer. step2 turns both into clipped new
- * weights and returns the number of weights that left their level's interval
- * (lo, hi], writing their flat indices in ascending order. step0 (m* = 0) does
- * moments, step, clip and compare in one pass. The constants are in k[], in
- * the order of the K_* names. relevel re-projects the moved weights.
+ * and the tanh argument to a scratch buffer, reading a weight's slopes from
+ * the grid's per-level tables at its level index (QuantGrid.slope_tables), or
+ * one slope from k[] on a grid of equal widths. step2 turns both into clipped
+ * new weights and returns the number of weights that left their level's
+ * interval (lo, hi], writing their flat indices in ascending order. step0
+ * (m* = 0) does moments, step, clip and compare in one pass. The constants are
+ * in k[], in the order of the K_* names. relevel re-projects the moved weights.
  *
  * The batch-norm loops take a C-ordered (n, d) batch with n >= 1 and d >= 2.
  * For d >= 2 numpy sums such an array over axis 0 row by row, starting from
@@ -76,17 +78,19 @@ static inline int64_t moved_indices(int64_t b, int64_t e, const unsigned char *f
     }                                                                                    \
                                                                                          \
     void step1_##SUF(int64_t n, const T *restrict g, T *restrict m, T *restrict v,       \
-                     const T *restrict w, const T *restrict wq, const T *restrict up,    \
+                     const T *restrict w, const T *restrict wq,                          \
+                     const int16_t *restrict level_idx, const T *restrict up,            \
                      const T *restrict nl, T *restrict arg, T *restrict out,             \
                      const double *k)                                                    \
     {                                                                                    \
         const T b1 = k[K_B1], k1 = k[K_1MB1], b2 = k[K_B2], k2 = k[K_1MB2];              \
         const T c1 = k[K_C1], c2 = k[K_C2], eps = k[K_EPS], lr = k[K_LR];                \
         const T ms = k[K_MSTAR], slope = k[K_SLOPE];                                     \
-        if (up) { /* per-weight slopes: the side that holds the weight */                \
+        if (up) { /* per-level slopes: the side that holds the weight */                 \
             for (int64_t i = 0; i < n; i++) {                                            \
                 T u = adam_##SUF(g[i], &m[i], &v[i], b1, k1, b2, k2, c1, c2, eps);       \
-                T d = w[i] - wq[i], above = d * up[i], below = d * nl[i];                \
+                const int16_t a = level_idx[i];                                          \
+                T d = w[i] - wq[i], above = d * up[a], below = d * nl[a];                \
                 arg[i] = gate_##SUF((above > below || above != above) ? above : below,   \
                                     u, d, ms);                                           \
                 out[i] = lr * u;                                                         \
@@ -155,18 +159,16 @@ DEFINE_STEP(double, f64, sqrt, fabs)
 
 /* relevel: the level of each moved weight by binary search on the midpoints
  * (a weight on a midpoint takes the lower level, as QuantGrid.project_idx
- * counts the midpoints below it), then level_idx, w_quant, the bounds (lo, hi]
- * and, where up is not null, the side slopes patched from the per-level tables
- * (the *_of arrays). Returns -1, having written nothing, if a moved weight is
- * not finite. */
+ * counts the midpoints below it), then level_idx, w_quant and the bounds
+ * (lo, hi] patched from the per-level tables (lo_of, hi_of). Returns -1,
+ * having written nothing, if a moved weight is not finite. */
 #define DEFINE_RELEVEL(T, SUF)                                                           \
     int64_t relevel_##SUF(int64_t count, const int64_t *restrict moved,                  \
                           const T *restrict w, int64_t n_mids,                           \
                           int16_t *restrict level_idx, T *restrict wq, T *restrict lo,   \
-                          T *restrict hi, T *restrict up, T *restrict nl,                \
-                          const T *restrict mids, const T *restrict levels,              \
-                          const T *restrict lo_of, const T *restrict hi_of,              \
-                          const T *restrict up_of, const T *restrict nl_of)              \
+                          T *restrict hi, const T *restrict mids,                        \
+                          const T *restrict levels, const T *restrict lo_of,             \
+                          const T *restrict hi_of)                                       \
     {                                                                                    \
         for (int64_t c = 0; c < count; c++)                                              \
             if (!isfinite(w[moved[c]]))                                                  \
@@ -186,10 +188,6 @@ DEFINE_STEP(double, f64, sqrt, fabs)
             wq[i] = levels[a];                                                           \
             lo[i] = lo_of[a];                                                            \
             hi[i] = hi_of[a];                                                            \
-            if (up) {                                                                    \
-                up[i] = up_of[a];                                                        \
-                nl[i] = nl_of[a];                                                        \
-            }                                                                            \
         }                                                                                \
         return 0;                                                                        \
     }

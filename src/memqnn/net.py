@@ -175,12 +175,13 @@ class DenseLayer:
     projection of ``w_hidden`` at all times outside the optimizer step. The
     constructor projects every weight once; ``set_hidden`` keeps the
     invariant by re-projecting only the weights that left their level's
-    interval and patching ``w_quant``, ``level_idx``, the intervals and the
-    plasticity slopes in place. The slopes are built by ``side_slopes`` for
-    one m* at a time. When a crossbar tile is bound, the matrix products
-    route through it instead of ``w_quant``. The hidden weights are
-    C-contiguous float32 or float64, as the compiled step needs: an array in
-    another order is copied, another dtype raises ``ValueError``.
+    interval and patching ``w_quant``, ``level_idx`` and the intervals in
+    place. The plasticity slopes stay with the grid, one per level
+    (``QuantGrid.slope_tables``), and the update reads them through
+    ``level_idx``. When a crossbar tile is bound, the matrix products route
+    through it instead of ``w_quant``. The hidden weights are C-contiguous
+    float32 or float64, as the compiled step needs: an array in another
+    order is copied, another dtype raises ``ValueError``.
     """
 
     def __init__(self, w_hidden, grid: QuantGrid, bn: BatchNorm | None = None):
@@ -194,9 +195,6 @@ class DenseLayer:
         self.level_idx, w_quant = grid.project(w)
         self.w_quant = w_quant.astype(w.dtype, copy=False)
         self._bounds = grid.level_bounds(self.level_idx, w.dtype)  # (lo, hi] of each level
-        self._slopes_m = None  # the m* that _slopes and _slope_tables were built for
-        self._slopes = None
-        self._slope_tables = None  # per level, the slopes _slopes gathers
         self._work = None  # the compiled step's buffers (optim._Work)
 
     @property
@@ -234,30 +232,8 @@ class DenseLayer:
         np.put(self.w_quant, moved, w_quant)
         for bound, new in zip(self._bounds, self.grid.level_bounds(idx, w.dtype)):
             np.put(bound, moved, new)
-        if self._slopes_m is not None and np.ndim(self._slopes[0]):
-            for slope, table in zip(self._slopes, self._slope_tables):
-                np.put(slope, moved, table[idx])
         self.w_hidden = w
         return moved
-
-    def side_slopes(self, m_star):
-        """Every weight's ``grid.side_slopes`` for ``m_star``, kept by the layer.
-
-        Built when ``m_star`` differs from the last call's (once per training
-        phase), with the per-level ``grid.slope_tables`` they come from, and
-        patched from those tables by ``set_hidden`` where a level changes, so
-        a step gathers no slope. Scalars on a grid of equal widths. At
-        ``m_star`` 0 the update reads no slope: the last phase's are freed and
-        None returned.
-        """
-        if not m_star:
-            self._slopes_m = self._slopes = self._slope_tables = None
-        elif m_star != self._slopes_m:
-            self._slopes = None  # freed before the new ones are built
-            self._slope_tables = self.grid.slope_tables(m_star, self.w_hidden.dtype)
-            self._slopes = self.grid.side_slopes(self.level_idx, m_star, self.w_hidden.dtype)
-            self._slopes_m = m_star
-        return self._slopes
 
     def matmul_forward(self, x):
         if self.tile is not None:

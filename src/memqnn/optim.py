@@ -9,15 +9,15 @@ level, and all batch-norm updates, are applied at full strength.
 
 ``metaplastic_update`` states that rule once, as a full-matrix formula. The
 compiled step (``_step.c``) computes its bits, Adam moments included, in a
-few loops per layer, reading the side slopes each layer keeps
-(``DenseLayer.side_slopes``); training runs it wherever a C compiler is
-found, and the formula is its fallback and its test oracle. Either way only
-the weights that left their level are re-projected: by the library's
-binary search and per-level tables on the compiled path (``_relevel``), by
-``DenseLayer._relevel`` on the numpy path. The library also holds the
-train-mode batch norm and ReLU that ``net.MLP`` runs; this module builds and
-loads it once per process, at the first train-mode forward pass (in training,
-the first step's).
+few loops per layer, reading each weight's slopes through its level index
+from the grid's per-level tables (``QuantGrid.slope_tables``); training runs
+it wherever a C compiler is found, and the formula is its fallback and its
+test oracle. Either way only the weights that left their level are
+re-projected: by the library's binary search and per-level tables on the
+compiled path (``_relevel``), by ``DenseLayer._relevel`` on the numpy path.
+The library also holds the train-mode batch norm and ReLU that ``net.MLP``
+runs; this module builds and loads it once per process, at the first
+train-mode forward pass (in training, the first step's).
 """
 
 from __future__ import annotations
@@ -106,10 +106,15 @@ class Adam:
         """Install a ``state_dict``; ``shapes`` maps each parameter name to its shape.
 
         A slot whose name is not in ``shapes``, or whose moments have another
-        shape, raises ``ValueError``. Any other key (``betas_eps`` in older
-        checkpoints) is ignored: the constructor's hyperparameters hold.
+        shape, raises ``ValueError``; so do a step count ``t`` that is not a
+        whole number >= 0, or is 0 while slots are stored, a moment that is
+        not finite and a negative second moment, none of which a step makes.
+        Any other key (``betas_eps`` in older checkpoints) is ignored: the
+        constructor's hyperparameters hold.
         """
-        t = int(state["t"])
+        t = np.asarray(state["t"])
+        if t.shape or t.dtype.kind not in "iuf" or not (np.isfinite(t) and t >= 0 and t % 1 == 0):
+            raise ValueError(f"adam step count t = {t} is not a whole number >= 0")
         slots = {}
         for key, value in state.items():
             if key.startswith("m."):
@@ -118,8 +123,14 @@ class Adam:
                 if name not in shapes or not m.shape == v.shape == tuple(shapes[name]):
                     raise ValueError(f"adam slot {name!r} of shape {m.shape}/{v.shape} fits "
                                      f"no parameter (shape {shapes.get(name)})")
+                if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
+                    raise ValueError(f"adam slot {name!r} holds a moment that is not finite")
+                if np.any(v < 0):
+                    raise ValueError(f"adam slot {name!r} holds a negative second moment")
                 slots[name] = (m, v)
-        self.t, self.slots = t, slots
+        if slots and t == 0:
+            raise ValueError("adam step count t = 0 with moment slots stored")
+        self.t, self.slots = int(t), slots
 
 
 def metaplastic_update(w_hidden, w_quant, u, grid: QuantGrid, m_star, lr, level_idx=None):
@@ -197,10 +208,10 @@ def _build_step():
         shutil.rmtree(tmp, ignore_errors=True)
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     for loop in ("f32", "f64"):  # counts first, then pointers, then double constants
-        for name, args, restype in (("step1", [i64] + [ptr] * 10, None),
+        for name, args, restype in (("step1", [i64] + [ptr] * 11, None),
                                     ("step2", [i64] + [ptr] * 7, i64),
                                     ("step0", [i64] + [ptr] * 9, i64),
-                                    ("relevel", [i64, ptr, ptr, i64] + [ptr] * 12, i64),
+                                    ("relevel", [i64, ptr, ptr, i64] + [ptr] * 8, i64),
                                     ("bn_forward", [i64, i64] + [ptr] * 10 + [dbl] * 3, i64),
                                     ("bn_backward", [i64, i64] + [ptr] * 11 + [dbl], i64)):
             fn = getattr(lib, f"{name}_{loop}")
@@ -237,17 +248,11 @@ class _Work:
 def _level_ptrs(layer):
     """Addresses of the layer's level state and the grid's per-level tables.
 
-    In ``relevel``'s order: level_idx, w_quant, lo, hi, the upper and the
-    negated lower slope, then the per-level midpoints, values, lo, hi and the
-    two slopes; None for slopes the layer does not keep per weight.
-    ``side_slopes`` must have been called for this step's m*.
+    In ``relevel``'s order: level_idx, w_quant, lo, hi, then the per-level
+    midpoints, values, lo and hi.
     """
-    slopes = tables = (None, None)
-    if layer._slopes_m is not None and np.ndim(layer._slopes[0]):
-        slopes, tables = layer._slopes, layer._slope_tables
-    return tuple(None if a is None else a.ctypes.data
-                 for a in (layer.level_idx, layer.w_quant, *layer._bounds, *slopes,
-                           *layer.grid.level_tables(layer.w_hidden.dtype), *tables))
+    return tuple(a.ctypes.data for a in (layer.level_idx, layer.w_quant, *layer._bounds,
+                                         *layer.grid.level_tables(layer.w_hidden.dtype)))
 
 
 def _fused_update(lib, layer, adam, name, g, m_star, lr):
@@ -264,18 +269,20 @@ def _fused_update(lib, layer, adam, name, g, m_star, lr):
     w, grid = layer.w_hidden, layer.grid
     if (g.dtype, g.shape) != (w.dtype, w.shape) or not g.flags.c_contiguous:
         raise ValueError(f"gradient {g.dtype}{g.shape} does not fit layer {w.dtype}{w.shape}")
-    slopes = layer.side_slopes(m_star)
-    slope = 0.0  # a grid of equal widths passes its one slope in k
+    slope, pup, pnl = 0.0, None, None  # a grid of equal widths passes its one slope in k
     if m_star != 0.0:
         check_m_star(m_star)
-        if not np.ndim(slopes[0]):
-            slope = slopes[0]
+        up, nl = grid.slope_tables(m_star, w.dtype)
+        if np.ndim(up):
+            pup, pnl = up.ctypes.data, nl.ctypes.data
+        else:
+            slope = up
     work = layer._work
     if work is None:
         work = layer._work = _Work(lib, w)
     pm, pv = (a.ctypes.data for a in adam.slots[name])
     levels = _level_ptrs(layer)
-    _, pwq, plo, phi, pup, pnl = levels[:6]
+    pidx, pwq, plo, phi = levels[:4]
     new = 1 if w is work.pair[0] else 0  # the buffer the new weights go to
     pout = work.pair_ptrs[new]
     pw = work.pair_ptrs[1 - new] if w is work.pair[1 - new] else w.ctypes.data
@@ -286,7 +293,7 @@ def _fused_update(lib, layer, adam, name, g, m_star, lr):
     if m_star == 0.0:
         count = work.step0(n, pg, pm, pv, pw, pout, plo, phi, work.index_ptr, work.k_ptr)
     else:
-        work.step1(n, pg, pm, pv, pw, pwq, pup, pnl, work.scratch_ptr, pout, work.k_ptr)
+        work.step1(n, pg, pm, pv, pw, pwq, pidx, pup, pnl, work.scratch_ptr, pout, work.k_ptr)
         np.tanh(work.scratch, out=work.scratch)
         count = work.step2(n, pw, work.scratch_ptr, pout, plo, phi, work.index_ptr, work.k_ptr)
     return _relevel(layer, new, count, levels)

@@ -68,6 +68,7 @@ class QuantGrid:
         for a in (self.levels, self.widths, self.midpoints,
                   *(b for tables in self._tables.values() for b in tables)):
             a.flags.writeable = False
+        self._slope_kept = {}  # dtype -> (m*, slope_tables(m*, dtype))
 
     # -- projection --------------------------------------------------------
 
@@ -123,28 +124,29 @@ class QuantGrid:
 
         ``upper`` is ``2 * m_star / width`` of the interval above the level,
         ``neg_lower`` minus that of the interval below it; beyond the
-        outermost levels the outermost interval is reused. A grid whose widths
-        are all bitwise equal returns two scalars.
+        outermost levels the outermost interval is reused. For a weight on
+        level ``i`` at signed distance ``d = w - w_quant``,
+        ``max(d * upper[i], d * neg_lower[i])`` is ``|d|`` times the slope of
+        the side that contains the weight, to the bit. A grid whose widths are
+        all bitwise equal returns two scalars. Read-only; the grid keeps the
+        last m*'s tables per dtype. At m* = 0 the update reads no slope, and
+        ``ValueError`` is raised.
         """
-        slope = (2.0 * float(m_star) / self.widths).astype(dtype)
-        if self._uniform:
-            return slope[0], -slope[0]
-        upper = np.append(slope, slope[-1])  # level i: interval min(i, n - 2)
-        neg_lower = -np.insert(slope, 0, slope[0])  # level i: interval max(i - 1, 0)
-        return upper, neg_lower
-
-    def side_slopes(self, level_idx, m_star, dtype):
-        """Per weight, the plasticity slopes (upper, negated lower) of its level.
-
-        Each weight's entries of ``slope_tables``. For a signed distance
-        ``d = w - w_quant``, ``max(d * upper, d * neg_lower)`` is ``|d|`` times
-        the slope of the side that contains the weight, to the bit. A grid
-        whose widths are all bitwise equal returns two scalars.
-        """
-        upper, neg_lower = self.slope_tables(m_star, dtype)
-        if self._uniform:
-            return upper, neg_lower
-        return upper[level_idx], neg_lower[level_idx]
+        if not m_star:
+            raise ValueError("at m* = 0 the update reads no plasticity slope")
+        dt = np.dtype(dtype)
+        kept = self._slope_kept.get(dt)
+        if kept is None or kept[0] != m_star:
+            slope = (2.0 * float(m_star) / self.widths).astype(dt)
+            if self._uniform:
+                tables = slope[0], -slope[0]
+            else:
+                tables = (np.append(slope, slope[-1]),  # level i: interval min(i, n - 2)
+                          -np.insert(slope, 0, slope[0]))  # level i: interval max(i - 1, 0)
+                for a in tables:
+                    a.flags.writeable = False
+            kept = self._slope_kept[dt] = (m_star, tables)
+        return kept[1]
 
     def plasticity(self, w_hidden, m_star, level_idx=None, w_quant=None):
         """Update-strength factor in [0, 1].

@@ -119,9 +119,7 @@ def reference_train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
 
     The layers' levels come from ``reference_projection``, never from
     ``DenseLayer.set_hidden``; their projection intervals are rebuilt from
-    those levels and their plasticity slopes dropped (the next
-    ``DenseLayer.side_slopes`` call rebuilds them), so the shipped code can
-    take over from here.
+    those levels, so the shipped code can take over from here.
     """
     loss, grads, _ = mlp.loss_grads(x, y)
     u = reference_adam_directions(adam, grads)
@@ -132,7 +130,6 @@ def reference_train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
         layer.level_idx, layer.w_quant = reference_projection(mlp.grid, w_new)
         layer.w_hidden = w_new
         layer._bounds = mlp.grid.level_bounds(layer.level_idx, w_new.dtype)
-        layer._slopes_m = layer._slopes = None
         if layer.bn is not None:
             bn_update(layer.bn, u[f"bn{i}.gamma"], u[f"bn{i}.beta"], lr)
         if layer.tile is not None:

@@ -153,8 +153,8 @@ def rebuilt_slopes(grid, level_idx, m_star, dtype):
 
 
 class TestLayerDrivenUpdate:
-    """The update fed by a layer's kept state, and the slopes the layer keeps for the
-    compiled step, over steps that flip levels."""
+    """The update fed by a layer's kept state over steps that flip levels, and the
+    grid's per-level slope tables that the compiled step reads through the level index."""
 
     @settings(max_examples=60, deadline=None)
     @given(grid=grids(), seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
@@ -166,8 +166,6 @@ class TestLayerDrivenUpdate:
         flips = 0
         for m_star in (0.0, 0.0, m1, m1, m1, m2, m2):
             u = direction(rng, dtype, layer.shape)  # 10% zeros: the equality case
-            slopes = layer.side_slopes(m_star)
-            assert layer.side_slopes(m_star) is slopes  # kept, not rebuilt, for one m*
             got = metaplastic_update(layer.w_hidden, layer.w_quant, u, grid, m_star, lr,
                                      layer.level_idx)
             # the kept levels give the bits of a full re-projection
@@ -179,60 +177,67 @@ class TestLayerDrivenUpdate:
             pick = rng.random(layer.shape) < 0.2
             got[pick] = ties[pick]
             flips += layer.set_hidden(got).size
-            # the slopes set_hidden patched equal slopes rebuilt from the new levels
-            patched = layer.side_slopes(m_star)
-            assert patched is slopes
             if not m_star:
-                assert patched is None  # the m*=0 update reads none, so none are kept
                 continue
-            for a, b in zip(patched, rebuilt_slopes(grid, layer.level_idx, m_star, dtype)):
-                assert same_bytes(np.broadcast_to(a, layer.shape), b)
+            # the tables read through the new levels equal slopes rebuilt from them
+            tables = grid.slope_tables(m_star, dtype)
+            assert grid.slope_tables(m_star, dtype) is tables  # kept, not rebuilt, for one m*
+            for t, b in zip(tables, rebuilt_slopes(grid, layer.level_idx, m_star, dtype)):
+                a = t[layer.level_idx] if np.ndim(t) else np.broadcast_to(t, layer.shape)
+                assert same_bytes(a, b)
         assert flips > 0
 
     def test_uniform_grid_keeps_scalar_slopes(self):
-        grid = uniform_grid(17, -1.5, 1.5)
-        layer = DenseLayer(np.linspace(-1.6, 1.6, 12, dtype=np.float32).reshape(3, 4), grid)
-        upper, neg_lower = layer.side_slopes(3.0)
+        upper, neg_lower = uniform_grid(17, -1.5, 1.5).slope_tables(3.0, np.float32)
         assert np.ndim(upper) == np.ndim(neg_lower) == 0
         assert upper == np.float32(32.0) and neg_lower == -upper  # 2 * 3 / 0.1875
+        assert upper.dtype == neg_lower.dtype == np.float32
 
     def test_m_star_zero_step_builds_no_slopes(self, monkeypatch):
-        """The m*=0 update reads no slopes, so a pretrain step builds none."""
-        grid = derive_grid(default_levelspec()).grid  # unequal widths: per-weight slopes
+        """The m*=0 update reads no slopes, so a pretrain step builds none, and
+        ``slope_tables`` refuses m*=0."""
+        grid = derive_grid(default_levelspec()).grid  # unequal widths: per-level tables
+        with pytest.raises(ValueError, match="m\\* = 0"):
+            grid.slope_tables(0.0, np.float64)
         rng = np.random.default_rng(2)
         mlp = uniform_mlp((6, 5, 3), grid, rng)
 
-        def refuse(grid, level_idx, m_star, dtype):
-            raise AssertionError(f"side_slopes({m_star}) built")
+        def refuse(grid, m_star, dtype):
+            raise AssertionError(f"slope_tables({m_star}) built")
 
-        monkeypatch.setattr(QuantGrid, "side_slopes", refuse)
+        monkeypatch.setattr(QuantGrid, "slope_tables", refuse)
         adam = Adam()
         for _ in range(3):
             harness.train_step(mlp, adam, rng.normal(size=(8, 6)), rng.integers(0, 3, 8),
                                0.0, 0.05)
-        assert all(layer._slopes is None for layer in mlp.layers)
-
-    def test_m_star_zero_step_frees_slopes(self, step_lib):
-        """An m*=0 phase after a consolidated one keeps no slopes to patch at each flip."""
-        grid = derive_grid(default_levelspec()).grid
-        rng = np.random.default_rng(2)
-        mlp = uniform_mlp((6, 5, 3), grid, rng)
-        adam = Adam()
-        for m_star in (3.0, 0.0):
-            harness.train_step(mlp, adam, rng.normal(size=(8, 6)), rng.integers(0, 3, 8),
-                               m_star, 0.05)
-            held = [layer._slopes is not None for layer in mlp.layers]
-            assert held == [bool(m_star)] * len(mlp.layers)
-        assert all(layer._slopes_m is None for layer in mlp.layers)
+        assert adam.t == 3
 
     def test_slopes_rebuilt_when_m_star_changes(self):
         grid = derive_grid(default_levelspec()).grid
-        layer = DenseLayer(np.linspace(-2, 2, 12).reshape(3, 4), grid)
-        first = layer.side_slopes(3.0)
-        second = layer.side_slopes(5.0)
+        level_idx = grid.project_idx(np.linspace(-2, 2, 12).reshape(3, 4))
+        first = grid.slope_tables(3.0, np.float64)
+        second = grid.slope_tables(5.0, np.float64)
         assert second is not first
-        for a, b in zip(second, rebuilt_slopes(grid, layer.level_idx, 5.0, np.float64)):
-            assert same_bytes(a, b)
+        assert grid.slope_tables(5.0, np.float64) is second
+        for m_star, tables in ((3.0, first), (5.0, second)):  # the first ones unchanged
+            for a, b in zip(tables, rebuilt_slopes(grid, level_idx, m_star, np.float64)):
+                assert same_bytes(a[level_idx], b)
+
+    def test_slope_tables_kept_per_dtype(self):
+        """One (m*, dtype) keeps its tables while the other dtype's are made."""
+        grid = derive_grid(default_levelspec()).grid
+        f32 = grid.slope_tables(3.0, np.float32)
+        f64 = grid.slope_tables(3.0, np.float64)
+        assert [t.dtype for t in f32 + f64] == [np.float32] * 2 + [np.float64] * 2
+        assert grid.slope_tables(3.0, np.float32) is f32
+        assert grid.slope_tables(3.0, np.float64) is f64
+        assert all(t.shape == (grid.n,) for t in f32 + f64)
+
+    def test_slope_tables_read_only(self):
+        grid = derive_grid(default_levelspec()).grid
+        for table in grid.slope_tables(3.0, np.float32):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
 
 
 class TestIncrementalProjection:
@@ -790,18 +795,11 @@ def outcome(step, *args):
 
 
 def assert_same_levels(a, b):
-    """Layers ``a`` and ``b`` hold the same weights and level state, and the
-    slopes ``a`` keeps equal slopes rebuilt from its levels."""
+    """Layers ``a`` and ``b`` hold the same weights and level state."""
     for attr in ("w_hidden", "w_quant", "level_idx"):
         assert same_bytes(getattr(a, attr), getattr(b, attr)), attr
     for x, y in zip(a._bounds, b._bounds):
         assert same_bytes(x, y)
-    if a._slopes is not None:
-        rebuilt = rebuilt_slopes(a.grid, a.level_idx, a._slopes_m, a.w_hidden.dtype)
-        for x, y in zip(a._slopes, rebuilt):
-            assert same_bytes(np.broadcast_to(x, a.shape), y)
-        if b._slopes is not None:  # the plain rule's steps keep none
-            assert all(same_bytes(x, y) for x, y in zip(a._slopes, b._slopes))
 
 
 def assert_same_state(a, b, adam_a, adam_b):
@@ -879,7 +877,8 @@ class TestCompiledStep:
                                          layer.level_idx) > w)
 
     def test_steps_across_m_star_changes(self, step_lib):
-        """Slopes are built, patched at each flip, rebuilt for a new m* and freed at 0."""
+        """The grid's slope tables are built for the first m*, read through the levels
+        each flip changes, and rebuilt for a new m*, also after an m*=0 phase."""
         rng = np.random.default_rng(5)
         for grid in (derive_grid(default_levelspec()).grid, uniform_grid(9, -1.0, 1.0)):
             for dtype in DTYPES:
@@ -892,7 +891,8 @@ class TestCompiledStep:
                     moved = compiled_step(step_lib, ours, adam_ours, g, m_star, 0.05)
                     assert same_bytes(moved, numpy_step(theirs, adam_theirs, g, m_star, 0.05))
                     assert_same_state(ours, theirs, adam_ours, adam_theirs)
-                    assert (ours._slopes is None) == (m_star == 0.0)
+                    if m_star:
+                        assert grid._slope_kept[np.dtype(dtype)][0] == m_star
                     flips += moved.size
                 assert flips > 0
 
@@ -1045,16 +1045,14 @@ class TestCompiledRelevel:
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(["uniform", "device", "explicit-80"]),
            seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
-           m_star=st.sampled_from([0.0, 3.0]), bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
-    def test_bit_equal_relevel(self, step_lib, kind, seed, dtype, m_star, bad):
+           bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    def test_bit_equal_relevel(self, step_lib, kind, seed, dtype, bad):
         rng = np.random.default_rng(seed)
         grid = {"uniform": lambda: uniform_grid(17, -1.5, 1.5),
                 "device": lambda: device_grid(rng).grid,
                 "explicit-80": lambda: QuantGrid(EXPLICIT_80)}[kind]()
         ours, theirs = twin_layers(grid, grid.clip_hidden(
             hidden_weights(rng, grid, dtype, (9, 13))))
-        for layer in (ours, theirs):
-            layer.side_slopes(m_star)
         work = ours._work = optim._Work(step_lib, ours.w_hidden)
         for step in range(3):
             # weights beyond the clip ends, on midpoints, levels and the clip ends
@@ -1165,7 +1163,7 @@ def _hide_compiler(monkeypatch):
     pytest.param("crossbar", "float64", None, id="crossbar-float64"),
     pytest.param("exact", "float64", None, id="exact-float64"),
     pytest.param("crossbar", "float32", None, id="crossbar-float32"),
-    # binary-search projection, per-weight slopes and no tile (tools/run_digests.py)
+    # binary-search projection, per-level slopes and no tile (tools/run_digests.py)
     pytest.param("exact", "float64", EXPLICIT_80, id="exact-float64-explicit-80"),
 ])
 def test_runs_bytes_equal_without_compiler(synth_data_dir, tmp_path, monkeypatch, step_lib,

@@ -365,6 +365,11 @@ class TestCheckpoint:
             packed = json.dumps({**config, "dims": dims}).encode()
             return {**saved, "config_json": np.frombuffer(packed, np.uint8)}
 
+        def planted(a, value):
+            a = a.copy()
+            a.flat[0] = value
+            return a
+
         damaged = {
             "lacking.npz": ({k: v for k, v in saved.items() if k != "tile0.minus.g"},
                             "tile0.minus.g"),
@@ -379,6 +384,19 @@ class TestCheckpoint:
             # the compiled step would read the slot in the run dtype
             "adam_dtype.npz": ({**saved, "adam.v.w1": saved["adam.v.w1"].astype(np.float16)},
                                "adam slots are not all"),
+            # each of these would restore, then misstep: bias corrections of a
+            # negative or fractional t, a NaN moment, the square root of v < 0
+            "adam_t_negative.npz": ({**saved, "adam.t": np.asarray(-5)},
+                                    "t = -5 is not a whole number >= 0"),
+            "adam_t_fraction.npz": ({**saved, "adam.t": np.asarray(2.5)},
+                                    "t = 2.5 is not a whole number >= 0"),
+            "adam_t_zero.npz": ({**saved, "adam.t": np.asarray(0)},
+                                "t = 0 with moment slots stored"),
+            "adam_nan_moment.npz": (
+                {**saved, "adam.m.bn0.gamma": planted(saved["adam.m.bn0.gamma"], np.nan)},
+                "'bn0.gamma' holds a moment that is not finite"),
+            "adam_negative_v.npz": ({**saved, "adam.v.w1": planted(saved["adam.v.w1"], -1.0)},
+                                    "'w1' holds a negative second moment"),
         }
         for name, (state, _) in damaged.items():
             np.savez(tmp_path / name, **state)

@@ -17,12 +17,15 @@ Builds the two synthetic IDX tasks the test suite uses, then runs:
     ``read_noise_sigma=0.5``: every tile product draws read noise;
   - one more exact float64 run, hashed the same way, on the uneven 80-level
     explicit grid ``1.5 * sinh(linspace(-2, 2, 80)) / sinh(2)``: projection
-    by binary search (grids above 64 levels) and per-weight plasticity
+    by binary search (grids above 64 levels) and per-level plasticity
     slopes without a tile;
   - one more exact float32 run, hashed the same way, at dims 64-1-24-10 with
     ``batch_size`` 5: the 1536-row training split ends every epoch on a
     1-row batch, and the first hidden layer is 1 wide, so a width-1 batch
-    norm (which numpy sums pairwise) and a batch of one both run.
+    norm (which numpy sums pairwise) and a batch of one both run;
+  - one more crossbar float32 run, hashed the same way, with synthB at
+    m* 5: its epochs run at m* 0 (pretraining), 3 and 5, so the uneven
+    device grid's slope tables are built for one m* and rebuilt for another.
 
 One line per digest: ``<run> <file> <sha256>``, with ``<file>`` spelled
 ``checkpoint.npz:<array>`` for a checkpoint array. Two trees that print the
@@ -118,6 +121,11 @@ def main():
         label = "exact-float32-64-1-24-10-batch-5"
         harness.run_sequential(dataclasses.replace(
             _config(data, work / label, "exact", "float32"), dims=(64, 1, 24, 10), batch_size=5))
+        print_run(label, work / label)
+        label = "crossbar-float32-task-mstar-3,5"
+        harness.run_sequential(dataclasses.replace(
+            _config(data, work / label, "crossbar", "float32"),
+            tasks=[TaskSpec("synthA", 2), TaskSpec("synthB", 1, m_star=5.0)]))
         print_run(label, work / label)
     print("step path:", "c" if optim._step_library() else "numpy", file=sys.stderr)
 
