@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import math
 import mmap
 import os
 import stat
@@ -158,7 +159,7 @@ def _parse_idx(raw, expect_magic, path):
     if len(raw) < header_end:
         raise IdxFormatError(f"{path}: truncated dimension header", offset=len(raw))
     dims = struct.unpack(f">{ndim}I", raw[4:header_end])
-    expected = header_end + int(np.prod(dims))
+    expected = header_end + math.prod(dims)  # Python ints: no int64 wrap
     if len(raw) != expected:
         raise IdxFormatError(
             f"{path}: payload has {len(raw)} bytes, expected {expected}", offset=min(len(raw), expected))

@@ -228,7 +228,8 @@ def _check_keys(what, cls, d):
 
 
 def preset(tier, **overrides):
-    """Named experiment scales: 'desk' (CI, minutes) or 'full' (hours)."""
+    """Named experiment scales: 'desk' (784-256-256-10, 15 + 15 epochs) or 'full'
+    (784-512-512-10, 50 + 50 epochs); README gives measured wall times."""
     if tier == "full":
         cfg = ExperimentConfig()
     elif tier == "desk":
@@ -489,10 +490,11 @@ def restore_run(path):
     Nothing is drawn or programmed: the MLP is built from the stored hidden
     weights and the tiles take their cells from the file. A file that is not
     a checkpoint of this version, a missing or malformed array (an Adam slot
-    that fits no parameter or the run dtype included), weights that do not
-    chain as the config's dims, and a tile whose cells do not encode its
-    layer's levels raise ConfigError: training rewrites only pairs whose
-    level changes, so it would never mend such a tile. Compressed
+    that fits no parameter or the run dtype, and a parameter without its slot
+    after a step, included), weights that do not chain as the config's dims,
+    and a tile whose cells do not encode its layer's levels raise
+    ConfigError: training rewrites only pairs whose level changes, so it
+    would never mend such a tile. Compressed
     (``np.savez_compressed``) files load as well.
     """
     try:
@@ -531,8 +533,11 @@ def restore_run(path):
         shapes = {f"w{i}": layer.shape for i, layer in enumerate(mlp.layers)}
         shapes.update({f"bn{i}.{p}": layer.bn.gamma.shape for i, layer in enumerate(mlp.layers)
                        if layer.bn is not None for p in ("gamma", "beta")})
-        adam.load_state_dict({k[len("adam."):]: v for k, v in state.items()
-                              if k.startswith("adam.")}, shapes)
+        try:
+            adam.load_state_dict({k[len("adam."):]: v for k, v in state.items()
+                                  if k.startswith("adam.")}, shapes)
+        except KeyError as e:  # named as the checkpoint names it
+            raise ConfigError(f"checkpoint lacks array 'adam.{e.args[0]}'") from None
         if any(a.dtype != mlp.dtype for slot in adam.slots.values() for a in slot):
             raise ConfigError(f"adam slots are not all {mlp.dtype}")
         epoch, cum_ops = int(state["epoch"]), int(state["cum_ops"])

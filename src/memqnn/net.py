@@ -84,15 +84,12 @@ class BatchNorm:
         if train:
             mu = x.mean(axis=0)
             var = x.var(axis=0)
-            xhat = x - mu
-            xhat /= np.sqrt(var + self.eps)
+            xhat = (x - mu) / np.sqrt(var + self.eps)
             n = x.shape[0]
             unbiased = var * (n / max(n - 1, 1))
             self.running_mean += self.momentum * (mu - self.running_mean)
             self.running_var += self.momentum * (unbiased - self.running_var)
-            y = self.gamma * xhat
-            y += self.beta
-            return y, (xhat, var)
+            return self.gamma * xhat + self.beta, (xhat, var)
         # one new array, the operations in the order of gamma * xhat + beta
         y = x - self.running_mean
         y /= np.sqrt(self.running_var + self.eps)
@@ -181,7 +178,10 @@ class DenseLayer:
     ``level_idx``. When a crossbar tile is bound, the matrix products route
     through it instead of ``w_quant``. The hidden weights are C-contiguous
     float32 or float64, as the compiled step needs: an array in another
-    order is copied, another dtype raises ``ValueError``.
+    order is copied, another dtype raises ``ValueError``. The compiled step
+    writes its new weights into two buffers that swap roles each step, so an
+    array read from ``w_hidden`` is written over two steps later (the numpy
+    path never writes an old array): copy it to keep a snapshot.
     """
 
     def __init__(self, w_hidden, grid: QuantGrid, bn: BatchNorm | None = None):

@@ -61,21 +61,11 @@ class Adam:
         c2 = 1.0 - b2 ** self.t
         out = {}
         for (name, g), (m, v) in zip(grads.items(), slots):
-            # same operations, in the same order, as
-            # m_hat / (sqrt(v_hat) + eps), through one scratch array
-            tmp = (1.0 - b1) * g
             m *= b1
-            m += tmp
-            np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - b2
+            m += (1.0 - b1) * g
             v *= b2
-            v += tmp
-            np.divide(v, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            d = m / c1
-            d /= tmp
-            out[name] = d
+            v += (1.0 - b2) * (g * g)
+            out[name] = (m / c1) / (np.sqrt(v / c2) + self.eps)
         return out
 
     def _slots(self, grads):
@@ -109,25 +99,28 @@ class Adam:
         shape, raises ``ValueError``; so do a step count ``t`` that is not a
         whole number >= 0, or is 0 while slots are stored, a moment that is
         not finite and a negative second moment, none of which a step makes.
-        Any other key (``betas_eps`` in older checkpoints) is ignored: the
-        constructor's hyperparameters hold.
+        A moment without its pair, and at ``t`` > 0 a parameter without a slot
+        (a step makes every parameter's), raise ``KeyError`` naming the
+        missing moment. Any other key (``betas_eps`` in older checkpoints) is
+        ignored: the constructor's hyperparameters hold.
         """
         t = np.asarray(state["t"])
         if t.shape or t.dtype.kind not in "iuf" or not (np.isfinite(t) and t >= 0 and t % 1 == 0):
             raise ValueError(f"adam step count t = {t} is not a whole number >= 0")
+        names = dict.fromkeys(key[2:] for key in state if key[:2] in ("m.", "v."))
+        if t > 0:
+            names.update(dict.fromkeys(shapes))
         slots = {}
-        for key, value in state.items():
-            if key.startswith("m."):
-                name = key[2:]
-                m, v = np.array(value, order="C"), np.array(state[f"v.{name}"], order="C")
-                if name not in shapes or not m.shape == v.shape == tuple(shapes[name]):
-                    raise ValueError(f"adam slot {name!r} of shape {m.shape}/{v.shape} fits "
-                                     f"no parameter (shape {shapes.get(name)})")
-                if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
-                    raise ValueError(f"adam slot {name!r} holds a moment that is not finite")
-                if np.any(v < 0):
-                    raise ValueError(f"adam slot {name!r} holds a negative second moment")
-                slots[name] = (m, v)
+        for name in names:
+            m, v = np.array(state[f"m.{name}"], order="C"), np.array(state[f"v.{name}"], order="C")
+            if name not in shapes or not m.shape == v.shape == tuple(shapes[name]):
+                raise ValueError(f"adam slot {name!r} of shape {m.shape}/{v.shape} fits "
+                                 f"no parameter (shape {shapes.get(name)})")
+            if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
+                raise ValueError(f"adam slot {name!r} holds a moment that is not finite")
+            if np.any(v < 0):
+                raise ValueError(f"adam slot {name!r} holds a negative second moment")
+            slots[name] = (m, v)
         if slots and t == 0:
             raise ValueError("adam step count t = 0 with moment slots stored")
         self.t, self.slots = int(t), slots

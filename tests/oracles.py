@@ -3,19 +3,22 @@
 These are the straightforward versions of what the package does
 incrementally or branch-free: a full re-projection of the hidden weights
 (where the layer's ``set_hidden`` re-projects only the weights that left
-their level), the Adam directions with one temporary per operation, a
-crossbar write that encodes and compares every pair, cell programming through
-boolean masks, the per-cell dump formatted from numpy scalars, the forward
-pass with its ReLU as a masked ``np.where`` and its batch norm from
-out-of-place temporaries, the backward pass gated on that mask (where the
-package reads the ReLU output the tape records), the evaluation pass as one
-serial loop over its batches, the op histogram through ``np.histogram`` on
-bucket edges (where the package counts bucket indices with ``np.bincount``),
-and a dataset split scaled to floats as one whole array (where a split keeps
-its 8-bit pixels and scales each batch). The shipped code must reproduce them
-bit for bit. The hidden-weight rule has no copy here: its plain formula is
-``optim.metaplastic_update`` itself, which ``reference_train_step`` calls and
-the compiled step is tested against.
+their level), a crossbar write that encodes and compares every pair, cell
+programming through boolean masks, the per-cell dump formatted from numpy
+scalars, the forward pass with its ReLU as a masked ``np.where`` and its
+eval-mode batch norm from out-of-place temporaries, the backward pass gated
+on that mask (where the package reads the ReLU output the tape records), the
+evaluation pass as one serial loop over its batches, the op histogram through
+``np.histogram`` on bucket edges (where the package counts bucket indices
+with ``np.bincount``), and a dataset split scaled to floats as one whole
+array (where a split keeps its 8-bit pixels and scales each batch). The
+shipped code must reproduce them bit for bit. Three rules have no copy here,
+because the package states each once as a plain formula: the hidden-weight
+rule (``optim.metaplastic_update``), the Adam directions
+(``Adam.directions``) and the train-mode batch norm
+(``BatchNorm.forward(x, True)``). ``reference_train_step`` and
+``reference_forward`` call them, and the compiled step is tested against
+them.
 """
 
 import warnings
@@ -34,26 +37,6 @@ def reference_projection(grid, w_hidden):
     w = np.asarray(w_hidden)
     level_idx, w_quant = grid.project(w)
     return level_idx, w_quant.astype(w.dtype, copy=False)
-
-
-def reference_adam_directions(adam, grads):
-    adam.t += 1
-    b1, b2 = adam.beta1, adam.beta2
-    c1 = 1.0 - b1 ** adam.t
-    c2 = 1.0 - b2 ** adam.t
-    out = {}
-    for name, g in grads.items():
-        if name not in adam.slots:
-            adam.slots[name] = (np.zeros_like(g), np.zeros_like(g))
-        m, v = adam.slots[name]
-        if m.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != slot shape {m.shape} for {name!r}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        out[name] = (m / c1) / (np.sqrt(v / c2) + adam.eps)
-    return out
 
 
 def reference_program(cells, targets, rng, where=None):
@@ -122,7 +105,7 @@ def reference_train_step(mlp, adam, x, y, m_star, lr, dgrid=None):
     those levels, so the shipped code can take over from here.
     """
     loss, grads, _ = mlp.loss_grads(x, y)
-    u = reference_adam_directions(adam, grads)
+    u = adam.directions(grads)
     ops = 0
     for i, layer in enumerate(mlp.layers):
         w_new = metaplastic_update(layer.w_hidden, layer.w_quant, u[f"w{i}"], mlp.grid,
@@ -150,19 +133,10 @@ def reference_dump_tiles_tsv(path, tiles):
                     f.write(f"layer{i}\t{r}\t{c}\t{side}\t{l}\t{gv:.6f}\t{o}\n")
 
 
-def reference_bn_forward(bn, x, train):
-    """BatchNorm.forward from out-of-place temporaries."""
-    if train:
-        mu = x.mean(axis=0)
-        var = x.var(axis=0)
-        xhat = (x - mu) / np.sqrt(var + bn.eps)
-        n = x.shape[0]
-        unbiased = var * (n / max(n - 1, 1))
-        bn.running_mean += bn.momentum * (mu - bn.running_mean)
-        bn.running_var += bn.momentum * (unbiased - bn.running_var)
-        return bn.gamma * xhat + bn.beta, (xhat, var)
+def reference_bn_forward(bn, x):
+    """BatchNorm.forward(x, False) from out-of-place temporaries."""
     xhat = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
-    return bn.gamma * xhat + bn.beta, None
+    return bn.gamma * xhat + bn.beta
 
 
 def reference_forward(mlp, x, train=False, tape=None, masks=None):
@@ -181,7 +155,10 @@ def reference_forward(mlp, x, train=False, tape=None, masks=None):
         if layer.bn is None:
             a = z
             continue
-        zb, cache = reference_bn_forward(layer.bn, z, train)
+        if train:
+            zb, cache = layer.bn.forward(z, True)
+        else:
+            zb, cache = reference_bn_forward(layer.bn, z), None
         mask = zb > 0
         if tape is not None:
             tape.bn_caches.append(cache)

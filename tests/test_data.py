@@ -1,4 +1,5 @@
 import gzip
+import math
 import mmap
 import os
 import struct
@@ -6,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from memqnn.cli import main as cli_main
 from memqnn.data import (
     TaskSpec,
     batches,
@@ -83,6 +85,23 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="truncated header") as e:
             load_idx(bad, lp)
         assert e.value.offset == size
+
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**16, 2**16, 2**31)])
+    def test_header_size_past_int64_refused(self, fixture_pair, tmp_path, capsys, dims):
+        """Payload sizes of 2**64 and 2**63, which wrap to 0 and -2**63 in int64."""
+        _, lp, _, _ = fixture_pair
+        task = tmp_path / "data" / "mnist"
+        task.mkdir(parents=True)
+        bad = task / "train-images-idx3-ubyte"
+        bad.write_bytes(struct.pack(">IIII", 0x00000803, *dims))
+        (task / "train-labels-idx1-ubyte").write_bytes(lp.read_bytes())
+        with pytest.raises(IdxFormatError) as e:
+            load_idx(bad, lp)
+        assert e.value.offset == 16
+        assert cli_main(["train", "--preset", "desk", "--data-dir", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"expected {16 + math.prod(dims)} " in err
 
     def test_count_mismatch(self, fixture_pair, tmp_path):
         ip, lp, _, _ = fixture_pair

@@ -12,9 +12,11 @@ properties. The library's re-projection is compared with
 import ctypes
 import dataclasses
 import hashlib
+import importlib.util
 import shutil
 import subprocess
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,6 @@ from memqnn.xbar import HALF_SPAN, CrossbarTile, derive_grid, dump_tiles_tsv, en
 
 from conftest import uniform_mlp
 from oracles import (
-    reference_adam_directions,
     reference_bn_forward,
     reference_decode,
     reference_dump_tiles_tsv,
@@ -616,20 +617,31 @@ class TestDumpOracle:
 
 
 class TestAdamOracle:
+    """``Adam.directions`` is the Adam rule's one copy (``TestCompiledStep``
+    compares the compiled step's moments with it), so this checks it against
+    the textbook recurrence: each step's slots and directions from the last
+    step's slots, and every direction a new array."""
+
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_directions_bit_equal_and_fresh(self, dtype):
         rng = np.random.default_rng(3)
-        ours, ref = Adam(), Adam()
+        adam = Adam()
+        b1, b2, eps = adam.beta1, adam.beta2, adam.eps
         previous = []
-        for _ in range(6):
+        for t in range(1, 7):
             grads = {"w": rng.normal(size=(7, 5)).astype(dtype),
                      "b": rng.normal(size=5).astype(dtype)}
-            got = ours.directions({k: v.copy() for k, v in grads.items()})
-            want = reference_adam_directions(ref, grads)
-            for name in grads:
-                assert same_bytes(got[name], want[name])
-                assert all(same_bytes(a, b) for a, b in zip(ours.slots[name], ref.slots[name]))
-                for other in [*ours.slots[name], *previous]:
+            last = {name: [a.copy() for a in adam.slots.get(name, (np.zeros_like(g),) * 2)]
+                    for name, g in grads.items()}
+            got = adam.directions({k: v.copy() for k, v in grads.items()})
+            assert adam.t == t
+            for name, g in grads.items():
+                m = b1 * last[name][0] + (1.0 - b1) * g
+                v = b2 * last[name][1] + (1.0 - b2) * (g * g)
+                want = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+                assert same_bytes(got[name], want)
+                assert all(same_bytes(a, b) for a, b in zip(adam.slots[name], (m, v)))
+                for other in [*adam.slots[name], *previous]:
                     assert not np.shares_memory(got[name], other)
             previous = list(got.values())
 
@@ -716,7 +728,7 @@ class TestForwardOracle:
         z_before = z.copy()
         with np.errstate(all="ignore"):
             y, cache = layer.bn.forward(z, False)
-            want = reference_bn_forward(layer.bn, z_before, False)[0]
+            want = reference_bn_forward(layer.bn, z_before)
         assert cache is None and same_bytes(z, z_before)
         assert not np.shares_memory(y, z)
         assert same_bytes(y, want)
@@ -1242,6 +1254,21 @@ def test_run_bytes_equal_reference_step(synth_data_dir, tmp_path, monkeypatch, m
     ours, ref = _run_digest(shipped.out_dir), _run_digest(reference.out_dir)
     assert ours == ref
     assert ("devices.tsv" in ours[0]) == (mode == "crossbar")
+
+
+@pytest.mark.parametrize("mode", ["exact", "crossbar"])
+def test_run_digests_hash_every_output(synth_data_dir, tmp_path, mode):
+    """Each file a run writes is in tools/run_digests.py's RUN_FILES, or is config.json
+    (it holds the output path) or checkpoint.npz (hashed array by array)."""
+    spec = importlib.util.spec_from_file_location(
+        "run_digests", Path(__file__).resolve().parents[1] / "tools" / "run_digests.py")
+    run_digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_digests)
+    out = harness.run_sequential(_config(synth_data_dir, tmp_path, mode, "float32")).out_dir
+    written = {p.name for p in out.iterdir()} - {"config.json", "checkpoint.npz"}
+    assert written <= set(run_digests.RUN_FILES)
+    if mode == "crossbar":
+        assert written == set(run_digests.RUN_FILES)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -365,6 +365,9 @@ class TestCheckpoint:
             packed = json.dumps({**config, "dims": dims}).encode()
             return {**saved, "config_json": np.frombuffer(packed, np.uint8)}
 
+        def without(*keys):
+            return {k: v for k, v in saved.items() if k not in keys}
+
         def planted(a, value):
             a = a.copy()
             a.flat[0] = value
@@ -397,6 +400,16 @@ class TestCheckpoint:
                 "'bn0.gamma' holds a moment that is not finite"),
             "adam_negative_v.npz": ({**saved, "adam.v.w1": planted(saved["adam.v.w1"], -1.0)},
                                     "'w1' holds a negative second moment"),
+            # a lost slot would restart its moments from zero under t + 1's bias
+            # correction, and a second moment without its first is no slot
+            "adam_lost_m.npz": (without("adam.m.w0"), "lacks array 'adam.m.w0'"),
+            "adam_lost_v.npz": (without("adam.v.w0"), "lacks array 'adam.v.w0'"),
+            "adam_lost_slot.npz": (without("adam.m.w0", "adam.v.w0"), "lacks array 'adam.m.w0'"),
+            "adam_lost_bn_slot.npz": (without("adam.m.bn0.gamma", "adam.v.bn0.gamma"),
+                                      "lacks array 'adam.m.bn0.gamma'"),
+            "adam_lone_v.npz": ({**without(*(k for k in saved if k.startswith("adam."))),
+                                 "adam.t": np.asarray(0), "adam.v.w0": saved["adam.v.w0"]},
+                                "lacks array 'adam.m.w0'"),
         }
         for name, (state, _) in damaged.items():
             np.savez(tmp_path / name, **state)
