@@ -1,7 +1,7 @@
 /* The compiled parts of a training step: one layer's Adam moments and
- * consolidation-gated hidden-weight update, the re-projection of the weights
- * that left their level, and a hidden layer's train-mode batch norm with its
- * ReLU, forward and backward.
+ * consolidation-gated hidden-weight update with the re-projection of the
+ * weights that left their level, and a hidden layer's train-mode batch norm
+ * with its ReLU, forward and backward.
  *
  * Each loop applies, element by element, the operations that the numpy code it
  * stands in for applies to whole arrays (optim.Adam.directions,
@@ -18,10 +18,13 @@
  * and the tanh argument to a scratch buffer, reading a weight's slopes from
  * the grid's per-level tables at its level index (QuantGrid.slope_tables), or
  * one slope from k[] on a grid of equal widths. step2 turns both into clipped
- * new weights and returns the number of weights that left their level's
- * interval (lo, hi], writing their flat indices in ascending order. step0
- * (m* = 0) does moments, step, clip and compare in one pass. The constants are
- * in k[], in the order of the K_* names. relevel re-projects the moved weights.
+ * new weights; step0 (m* = 0) does moments, step and clip in one pass. Both
+ * then compare each new weight with its level's interval (lo, hi], re-project
+ * the weights that left it and return how many did, their flat indices in
+ * ascending order in moved[]; or -1, having written nothing to the level
+ * state, if a moved weight is not finite. The constants are in k[], in the
+ * order of the K_* names; the grid's table edges[] holds -inf, the midpoints
+ * and the largest finite value (QuantGrid.level_tables).
  *
  * The batch-norm loops take a C-ordered (n, d) batch with n >= 1 and d >= 2.
  * For d >= 2 numpy sums such an array over axis 0 row by row, starting from
@@ -47,6 +50,39 @@ static inline int64_t moved_indices(int64_t b, int64_t e, const unsigned char *f
     }
     return count;
 }
+
+/* the Adam constants, and one weight's direction from them */
+#define ADAM_K(T)                                                                        \
+    const T b1 = k[K_B1], k1 = k[K_1MB1], b2 = k[K_B2], k2 = k[K_1MB2];                  \
+    const T c1 = k[K_C1], c2 = k[K_C2], eps = k[K_EPS], lr = k[K_LR]
+#define ADAM(SUF, i) adam_##SUF(g[i], &m[i], &v[i], b1, k1, b2, k2, c1, c2, eps)
+
+/* the level state of step0 and step2: the layer's level_idx, w_quant and
+ * bounds (lo, hi], then the grid's edges and level values */
+#define LEVELS(T)                                                                        \
+    int16_t *restrict level_idx, T *restrict wq, T *restrict lo, T *restrict hi,         \
+        const T *restrict edges, const T *restrict levels
+
+/* the end of step0 and step2: each new weight NEW (an expression in i) is clipped,
+ * written to out[i] and compared with (lo[i], hi[i]]; the moved ones re-projected */
+#define UPDATE(T, SUF, NEW)                                                              \
+    const T clo = k[K_LO], chi = k[K_HI];                                                \
+    int64_t count = 0;                                                                   \
+    unsigned char flag[BLOCK];                                                           \
+    for (int64_t b = 0; b < n; b += BLOCK) {                                             \
+        int64_t e = n - b < BLOCK ? n : b + BLOCK;                                       \
+        unsigned char any = 0;                                                           \
+        for (int64_t i = b; i < e; i++) {                                                \
+            T x = clip_##SUF(NEW, clo, chi);                                             \
+            out[i] = x;                                                                  \
+            unsigned char f = !((x > lo[i]) & (x <= hi[i]));                             \
+            flag[i - b] = f;                                                             \
+            any |= f;                                                                    \
+        }                                                                                \
+        if (any)                                                                         \
+            count = moved_indices(b, e, flag, moved, count);                             \
+    }                                                                                    \
+    return relevel_##SUF(count, moved, out, n_levels, level_idx, wq, lo, hi, edges, levels)
 
 #define DEFINE_STEP(T, SUF, SQRT, FABS)                                                  \
     static inline T adam_##SUF(T g, T *m, T *v, T b1, T k1, T b2, T k2, T c1, T c2,      \
@@ -77,106 +113,20 @@ static inline int64_t moved_indices(int64_t b, int64_t e, const unsigned char *f
         return a * (T)(u * d < zero);                                                    \
     }                                                                                    \
                                                                                          \
-    void step1_##SUF(int64_t n, const T *restrict g, T *restrict m, T *restrict v,       \
-                     const T *restrict w, const T *restrict wq,                          \
-                     const int16_t *restrict level_idx, const T *restrict up,            \
-                     const T *restrict nl, T *restrict arg, T *restrict out,             \
-                     const double *k)                                                    \
-    {                                                                                    \
-        const T b1 = k[K_B1], k1 = k[K_1MB1], b2 = k[K_B2], k2 = k[K_1MB2];              \
-        const T c1 = k[K_C1], c2 = k[K_C2], eps = k[K_EPS], lr = k[K_LR];                \
-        const T ms = k[K_MSTAR], slope = k[K_SLOPE];                                     \
-        if (up) { /* per-level slopes: the side that holds the weight */                 \
-            for (int64_t i = 0; i < n; i++) {                                            \
-                T u = adam_##SUF(g[i], &m[i], &v[i], b1, k1, b2, k2, c1, c2, eps);       \
-                const int16_t a = level_idx[i];                                          \
-                T d = w[i] - wq[i], above = d * up[a], below = d * nl[a];                \
-                arg[i] = gate_##SUF((above > below || above != above) ? above : below,   \
-                                    u, d, ms);                                           \
-                out[i] = lr * u;                                                         \
-            }                                                                            \
-        } else { /* a grid of equal widths: one slope */                                 \
-            for (int64_t i = 0; i < n; i++) {                                            \
-                T u = adam_##SUF(g[i], &m[i], &v[i], b1, k1, b2, k2, c1, c2, eps);       \
-                T d = w[i] - wq[i];                                                      \
-                arg[i] = gate_##SUF(FABS(d) * slope, u, d, ms);                          \
-                out[i] = lr * u;                                                         \
-            }                                                                            \
-        }                                                                                \
-    }                                                                                    \
-                                                                                         \
-    int64_t step2_##SUF(int64_t n, const T *restrict w, const T *restrict t,             \
-                        T *restrict out, const T *restrict lo, const T *restrict hi,     \
-                        int64_t *restrict moved, const double *k)                        \
-    {                                                                                    \
-        const T one = 1, clo = k[K_LO], chi = k[K_HI];                                   \
-        int64_t count = 0;                                                               \
-        unsigned char flag[BLOCK];                                                       \
-        for (int64_t b = 0; b < n; b += BLOCK) {                                         \
-            int64_t e = n - b < BLOCK ? n : b + BLOCK;                                   \
-            unsigned char any = 0;                                                       \
-            for (int64_t i = b; i < e; i++) {                                            \
-                T x = clip_##SUF(w[i] - out[i] * (one - t[i] * t[i]), clo, chi);         \
-                out[i] = x;                                                              \
-                unsigned char f = !((x > lo[i]) & (x <= hi[i]));                         \
-                flag[i - b] = f;                                                         \
-                any |= f;                                                                \
-            }                                                                            \
-            if (any)                                                                     \
-                count = moved_indices(b, e, flag, moved, count);                         \
-        }                                                                                \
-        return count;                                                                    \
-    }                                                                                    \
-                                                                                         \
-    int64_t step0_##SUF(int64_t n, const T *restrict g, T *restrict m, T *restrict v,    \
-                        const T *restrict w, T *restrict out, const T *restrict lo,      \
-                        const T *restrict hi, int64_t *restrict moved, const double *k)  \
-    {                                                                                    \
-        const T b1 = k[K_B1], k1 = k[K_1MB1], b2 = k[K_B2], k2 = k[K_1MB2];              \
-        const T c1 = k[K_C1], c2 = k[K_C2], eps = k[K_EPS], lr = k[K_LR];                \
-        const T clo = k[K_LO], chi = k[K_HI];                                            \
-        int64_t count = 0;                                                               \
-        unsigned char flag[BLOCK];                                                       \
-        for (int64_t b = 0; b < n; b += BLOCK) {                                         \
-            int64_t e = n - b < BLOCK ? n : b + BLOCK;                                   \
-            unsigned char any = 0;                                                       \
-            for (int64_t i = b; i < e; i++) {                                            \
-                T u = adam_##SUF(g[i], &m[i], &v[i], b1, k1, b2, k2, c1, c2, eps);       \
-                T x = clip_##SUF(w[i] - lr * u, clo, chi);                               \
-                out[i] = x;                                                              \
-                unsigned char f = !((x > lo[i]) & (x <= hi[i]));                         \
-                flag[i - b] = f;                                                         \
-                any |= f;                                                                \
-            }                                                                            \
-            if (any)                                                                     \
-                count = moved_indices(b, e, flag, moved, count);                         \
-        }                                                                                \
-        return count;                                                                    \
-    }
-
-DEFINE_STEP(float, f32, sqrtf, fabsf)
-DEFINE_STEP(double, f64, sqrt, fabs)
-
-/* relevel: the level of each moved weight by binary search on the midpoints
- * (a weight on a midpoint takes the lower level, as QuantGrid.project_idx
- * counts the midpoints below it), then level_idx, w_quant and the bounds
- * (lo, hi] patched from the per-level tables (lo_of, hi_of). Returns -1,
- * having written nothing, if a moved weight is not finite. */
-#define DEFINE_RELEVEL(T, SUF)                                                           \
-    int64_t relevel_##SUF(int64_t count, const int64_t *restrict moved,                  \
-                          const T *restrict w, int64_t n_mids,                           \
-                          int16_t *restrict level_idx, T *restrict wq, T *restrict lo,   \
-                          T *restrict hi, const T *restrict mids,                        \
-                          const T *restrict levels, const T *restrict lo_of,             \
-                          const T *restrict hi_of)                                       \
+    /* the level a of each moved weight by binary search on the midpoints edges[1:]      \
+     * (a weight on a midpoint takes the lower level, as QuantGrid.project_idx counts    \
+     * them), then its level_idx, w_quant and bounds (edges[a], edges[a + 1]] */         \
+    static int64_t relevel_##SUF(int64_t count, const int64_t *restrict moved,           \
+                                 const T *restrict w, int64_t n_levels, LEVELS(T))       \
     {                                                                                    \
         for (int64_t c = 0; c < count; c++)                                              \
             if (!isfinite(w[moved[c]]))                                                  \
                 return -1;                                                               \
+        const T *mids = edges + 1;                                                       \
         for (int64_t c = 0; c < count; c++) {                                            \
             const int64_t i = moved[c];                                                  \
             const T x = w[i];                                                            \
-            int64_t a = 0, b = n_mids; /* midpoints [0, a) are below x, [b, n) not */    \
+            int64_t a = 0, b = n_levels - 1; /* mids [0, a) are below x, [b, ...) not */ \
             while (a < b) {                                                              \
                 int64_t mid = a + (b - a) / 2;                                           \
                 if (mids[mid] < x)                                                       \
@@ -186,14 +136,57 @@ DEFINE_STEP(double, f64, sqrt, fabs)
             }                                                                            \
             level_idx[i] = (int16_t)a;                                                   \
             wq[i] = levels[a];                                                           \
-            lo[i] = lo_of[a];                                                            \
-            hi[i] = hi_of[a];                                                            \
+            lo[i] = edges[a];                                                            \
+            hi[i] = edges[a + 1];                                                        \
         }                                                                                \
-        return 0;                                                                        \
+        return count;                                                                    \
+    }                                                                                    \
+                                                                                         \
+    void step1_##SUF(int64_t n, const T *restrict g, T *restrict m, T *restrict v,       \
+                     const T *restrict w, const T *restrict wq,                          \
+                     const int16_t *restrict level_idx, const T *restrict up,            \
+                     const T *restrict nl, T *restrict arg, T *restrict out,             \
+                     const double *k)                                                    \
+    {                                                                                    \
+        ADAM_K(T);                                                                       \
+        const T ms = k[K_MSTAR], slope = k[K_SLOPE];                                     \
+        if (up) { /* per-level slopes: the side that holds the weight */                 \
+            for (int64_t i = 0; i < n; i++) {                                            \
+                T u = ADAM(SUF, i);                                                      \
+                const int16_t a = level_idx[i];                                          \
+                T d = w[i] - wq[i], above = d * up[a], below = d * nl[a];                \
+                arg[i] = gate_##SUF((above > below || above != above) ? above : below,   \
+                                    u, d, ms);                                           \
+                out[i] = lr * u;                                                         \
+            }                                                                            \
+        } else { /* a grid of equal widths: one slope */                                 \
+            for (int64_t i = 0; i < n; i++) {                                            \
+                T u = ADAM(SUF, i);                                                      \
+                T d = w[i] - wq[i];                                                      \
+                arg[i] = gate_##SUF(FABS(d) * slope, u, d, ms);                          \
+                out[i] = lr * u;                                                         \
+            }                                                                            \
+        }                                                                                \
+    }                                                                                    \
+                                                                                         \
+    int64_t step2_##SUF(int64_t n, int64_t n_levels, const T *restrict w,                \
+                        const T *restrict t, T *restrict out, int64_t *restrict moved,   \
+                        const double *k, LEVELS(T))                                      \
+    {                                                                                    \
+        const T one = 1;                                                                 \
+        UPDATE(T, SUF, w[i] - out[i] * (one - t[i] * t[i]));                             \
+    }                                                                                    \
+                                                                                         \
+    int64_t step0_##SUF(int64_t n, int64_t n_levels, const T *restrict g, T *restrict m, \
+                        T *restrict v, const T *restrict w, T *restrict out,             \
+                        int64_t *restrict moved, const double *k, LEVELS(T))             \
+    {                                                                                    \
+        ADAM_K(T);                                                                       \
+        UPDATE(T, SUF, w[i] - lr * ADAM(SUF, i));                                        \
     }
 
-DEFINE_RELEVEL(float, f32)
-DEFINE_RELEVEL(double, f64)
+DEFINE_STEP(float, f32, sqrtf, fabsf)
+DEFINE_STEP(double, f64, sqrt, fabs)
 
 /* Batch norm and ReLU, train mode. Forward: the column mean and variance of x
  * (BatchNorm.forward's x.mean(axis=0) and x.var(axis=0)), the running

@@ -452,6 +452,16 @@ def _unpack_json(arr):
     return json.loads(np.asarray(arr, dtype=np.uint8).tobytes().decode())
 
 
+def _restore_rng(state, key):
+    """A generator in the bit-generator state packed as ``state[key]``."""
+    packed, rng = _unpack_json(state[key]), np.random.default_rng(0)
+    try:
+        rng.bit_generator.state = packed
+    except (TypeError, KeyError):  # the setter indexes whatever it is given
+        raise ValueError(f"{key} holds no bit-generator state") from None
+    return rng
+
+
 def _bn_keys(task, i):
     """Checkpoint names of BN layer i's ``bn_state()`` tuple: live, or ``task``'s snapshot."""
     if task is None:
@@ -494,7 +504,9 @@ def restore_run(path):
     after a step, included), weights that do not chain as the config's dims,
     and a tile whose cells do not encode its layer's levels raise
     ConfigError: training rewrites only pairs whose level changes, so it
-    would never mend such a tile. Compressed
+    would never mend such a tile. So do a generator state numpy does not
+    take, an ``epoch`` or ``cum_ops`` that is not one whole number >= 0, and
+    an ``epoch`` past the schedule's end. Compressed
     (``np.savez_compressed``) files load as well.
     """
     try:
@@ -503,13 +515,11 @@ def restore_run(path):
     except (ValueError, TypeError, EOFError, zipfile.BadZipFile):  # TypeError: a .npy file
         raise ConfigError(f"{path} is not a checkpoint (.npz) file") from None
     version = state.get("format_version")
-    if version is None or int(version) != CHECKPOINT_VERSION:
+    if version is None or version.shape or version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
     try:
         config = ExperimentConfig.from_dict(_unpack_json(state["config_json"])).validate()
-        data_rng, device_rng = np.random.default_rng(0), np.random.default_rng(0)
-        data_rng.bit_generator.state = _unpack_json(state["data_rng"])
-        device_rng.bit_generator.state = _unpack_json(state["device_rng"])
+        data_rng, device_rng = _restore_rng(state, "data_rng"), _restore_rng(state, "device_rng")
         grid, dgrid = build_grid(config)
         mlp = MLP([np.asarray(state[f"layer{i}.w_hidden"], dtype=config.dtype)
                    for i in range(len(config.dims) - 1)], grid)
@@ -540,7 +550,9 @@ def restore_run(path):
             raise ConfigError(f"checkpoint lacks array 'adam.{e.args[0]}'") from None
         if any(a.dtype != mlp.dtype for slot in adam.slots.values() for a in slot):
             raise ConfigError(f"adam slots are not all {mlp.dtype}")
-        epoch, cum_ops = int(state["epoch"]), int(state["cum_ops"])
+        epoch, cum_ops = (optim.check_count(state[k], k) for k in ("epoch", "cum_ops"))
+        if epoch > sum(t.epochs for t in config.tasks):
+            raise ConfigError(f"epoch {epoch} is past the schedule's end")
     except KeyError as e:
         raise ConfigError(f"{path}: checkpoint lacks array {e}") from None
     except (ValueError, FloatingPointError) as e:  # a ConfigError is a ValueError

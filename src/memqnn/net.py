@@ -173,15 +173,18 @@ class DenseLayer:
     constructor projects every weight once; ``set_hidden`` keeps the
     invariant by re-projecting only the weights that left their level's
     interval and patching ``w_quant``, ``level_idx`` and the intervals in
-    place. The plasticity slopes stay with the grid, one per level
-    (``QuantGrid.slope_tables``), and the update reads them through
-    ``level_idx``. When a crossbar tile is bound, the matrix products route
-    through it instead of ``w_quant``. The hidden weights are C-contiguous
-    float32 or float64, as the compiled step needs: an array in another
-    order is copied, another dtype raises ``ValueError``. The compiled step
-    writes its new weights into two buffers that swap roles each step, so an
-    array read from ``w_hidden`` is written over two steps later (the numpy
-    path never writes an old array): copy it to keep a snapshot.
+    place; the compiled step does the same at the end of its update call.
+    The intervals come from the grid's one edge table per precision
+    (``QuantGrid.level_tables``). The plasticity slopes stay with the grid,
+    one per level (``QuantGrid.slope_tables``), and the update reads them
+    through ``level_idx``. When a crossbar tile is bound, the matrix
+    products route through it instead of ``w_quant``. The hidden weights are
+    C-contiguous float32 or float64, as the compiled step needs: an array in
+    another order is copied, another dtype raises ``ValueError``. The
+    compiled step writes its new weights into two buffers that swap roles
+    each step, so an array read from ``w_hidden`` is written over two steps
+    later (the numpy path never writes an old array): copy it to keep a
+    snapshot.
     """
 
     def __init__(self, w_hidden, grid: QuantGrid, bn: BatchNorm | None = None):

@@ -13,8 +13,8 @@ few loops per layer, reading each weight's slopes through its level index
 from the grid's per-level tables (``QuantGrid.slope_tables``); training runs
 it wherever a C compiler is found, and the formula is its fallback and its
 test oracle. Either way only the weights that left their level are
-re-projected: by the library's binary search and per-level tables on the
-compiled path (``_relevel``), by ``DenseLayer._relevel`` on the numpy path.
+re-projected: at the end of the library's update loop on the compiled path,
+by ``DenseLayer._relevel`` on the numpy path.
 The library also holds the train-mode batch norm and ReLU that ``net.MLP``
 runs; this module builds and loads it once per process, at the first
 train-mode forward pass (in training, the first step's).
@@ -36,6 +36,14 @@ import numpy as np
 from .quantgrid import QuantGrid, check_m_star
 
 __all__ = ["Adam", "metaplastic_update", "bn_update"]
+
+
+def check_count(a, name):
+    """A stored count ``a`` as an int; ValueError unless it is one whole number >= 0."""
+    a = np.asarray(a)
+    if a.shape or a.dtype.kind not in "iuf" or not (np.isfinite(a) and a >= 0 and a % 1 == 0):
+        raise ValueError(f"{name} = {a} is not a whole number >= 0")
+    return int(a)
 
 
 class Adam:
@@ -104,9 +112,7 @@ class Adam:
         missing moment. Any other key (``betas_eps`` in older checkpoints) is
         ignored: the constructor's hyperparameters hold.
         """
-        t = np.asarray(state["t"])
-        if t.shape or t.dtype.kind not in "iuf" or not (np.isfinite(t) and t >= 0 and t % 1 == 0):
-            raise ValueError(f"adam step count t = {t} is not a whole number >= 0")
+        t = check_count(state["t"], "adam step count t")
         names = dict.fromkeys(key[2:] for key in state if key[:2] in ("m.", "v."))
         if t > 0:
             names.update(dict.fromkeys(shapes))
@@ -123,7 +129,7 @@ class Adam:
             slots[name] = (m, v)
         if slots and t == 0:
             raise ValueError("adam step count t = 0 with moment slots stored")
-        self.t, self.slots = int(t), slots
+        self.t, self.slots = t, slots
 
 
 def metaplastic_update(w_hidden, w_quant, u, grid: QuantGrid, m_star, lr, level_idx=None):
@@ -202,9 +208,8 @@ def _build_step():
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     for loop in ("f32", "f64"):  # counts first, then pointers, then double constants
         for name, args, restype in (("step1", [i64] + [ptr] * 11, None),
-                                    ("step2", [i64] + [ptr] * 7, i64),
-                                    ("step0", [i64] + [ptr] * 9, i64),
-                                    ("relevel", [i64, ptr, ptr, i64] + [ptr] * 8, i64),
+                                    ("step2", [i64] * 2 + [ptr] * 11, i64),
+                                    ("step0", [i64] * 2 + [ptr] * 13, i64),
                                     ("bn_forward", [i64, i64] + [ptr] * 10 + [dbl] * 3, i64),
                                     ("bn_backward", [i64, i64] + [ptr] * 11 + [dbl], i64)):
             fn = getattr(lib, f"{name}_{loop}")
@@ -227,8 +232,8 @@ class _Work:
 
     def __init__(self, lib, w):
         loop = "f32" if w.dtype == np.float32 else "f64"
-        self.step1, self.step2, self.step0, self.relevel = (
-            getattr(lib, f"{name}_{loop}") for name in ("step1", "step2", "step0", "relevel"))
+        self.step1, self.step2, self.step0 = (
+            getattr(lib, f"{name}_{loop}") for name in ("step1", "step2", "step0"))
         self.pair = (np.empty_like(w), np.empty_like(w))
         self.scratch = np.empty_like(w)  # plasticity's tanh argument
         self.index = np.empty(w.size, dtype=np.int64)  # moved flat indices
@@ -239,10 +244,10 @@ class _Work:
 
 
 def _level_ptrs(layer):
-    """Addresses of the layer's level state and the grid's per-level tables.
+    """Addresses of the layer's level state and the grid's level tables.
 
-    In ``relevel``'s order: level_idx, w_quant, lo, hi, then the per-level
-    midpoints, values, lo and hi.
+    In ``step0``'s and ``step2``'s order: level_idx, w_quant, lo, hi, then
+    the grid's edges and level values.
     """
     return tuple(a.ctypes.data for a in (layer.level_idx, layer.w_quant, *layer._bounds,
                                          *layer.grid.level_tables(layer.w_hidden.dtype)))
@@ -254,10 +259,10 @@ def _fused_update(lib, layer, adam, name, g, m_star, lr):
     ``adam.t`` must already count this step (``Adam.directions`` advances it)
     and slot ``name`` be made for ``g`` (``Adam._slots``). Returns the flat
     indices whose level changed, as ``set_hidden`` does; they stay valid until
-    the layer's next step. The moved weights are re-projected by ``_relevel``.
-    A non-finite new weight raises ``FloatingPointError`` and leaves the layer
-    as it was, its moments updated; a gradient not C-ordered in the layer's
-    shape and dtype raises ValueError.
+    the layer's next step. One library call per phase also re-projects the
+    moved weights. A non-finite new weight raises ``FloatingPointError`` and
+    leaves the layer as it was, its moments updated; a gradient not C-ordered
+    in the layer's shape and dtype raises ValueError.
     """
     w, grid = layer.w_hidden, layer.grid
     if (g.dtype, g.shape) != (w.dtype, w.shape) or not g.flags.c_contiguous:
@@ -275,33 +280,20 @@ def _fused_update(lib, layer, adam, name, g, m_star, lr):
         work = layer._work = _Work(lib, w)
     pm, pv = (a.ctypes.data for a in adam.slots[name])
     levels = _level_ptrs(layer)
-    pidx, pwq, plo, phi = levels[:4]
     new = 1 if w is work.pair[0] else 0  # the buffer the new weights go to
     pout = work.pair_ptrs[new]
     pw = work.pair_ptrs[1 - new] if w is work.pair[1 - new] else w.ctypes.data
     work.k[:] = (adam.beta1, 1.0 - adam.beta1, adam.beta2, 1.0 - adam.beta2,
                  1.0 - adam.beta1 ** adam.t, 1.0 - adam.beta2 ** adam.t, adam.eps, lr,
                  m_star, slope, grid.hidden_lo, grid.hidden_hi)
-    n, pg = w.size, g.ctypes.data
+    n, pg, pmoved, pk = w.size, g.ctypes.data, work.index_ptr, work.k_ptr
     if m_star == 0.0:
-        count = work.step0(n, pg, pm, pv, pw, pout, plo, phi, work.index_ptr, work.k_ptr)
+        count = work.step0(n, grid.n, pg, pm, pv, pw, pout, pmoved, pk, *levels)
     else:
-        work.step1(n, pg, pm, pv, pw, pwq, pidx, pup, pnl, work.scratch_ptr, pout, work.k_ptr)
+        work.step1(n, pg, pm, pv, pw, levels[1], levels[0], pup, pnl, work.scratch_ptr, pout, pk)
         np.tanh(work.scratch, out=work.scratch)
-        count = work.step2(n, pw, work.scratch_ptr, pout, plo, phi, work.index_ptr, work.k_ptr)
-    return _relevel(layer, new, count, levels)
-
-
-def _relevel(layer, new, count, levels):
-    """``layer._relevel(work.pair[new], work.index[:count])`` in the library.
-
-    ``work`` is ``layer._work`` and ``levels`` is ``_level_ptrs(layer)``. A
-    non-finite weight among the moved raises ``FloatingPointError`` before
-    the layer changes.
-    """
-    work = layer._work
-    if count and work.relevel(count, work.index_ptr, work.pair_ptrs[new],
-                              layer.grid.n - 1, *levels):
+        count = work.step2(n, grid.n, pw, work.scratch_ptr, pout, pmoved, pk, *levels)
+    if count < 0:
         raise FloatingPointError("hidden weights must be finite")
     layer.w_hidden = work.pair[new]
     return work.index[:count]

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import math
 import mmap
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from memqnn.cli import main as cli_main
 from memqnn.data import (
+    DATASETS,
     TaskSpec,
     batches,
     fetch_dataset,
@@ -276,3 +278,51 @@ class TestFetch:
     def test_unknown_dataset(self, tmp_path):
         with pytest.raises(ConfigError):
             fetch_dataset("imagenet", tmp_path)
+
+
+@pytest.fixture
+def mirror(tmp_path, monkeypatch):
+    """A local mirror of four small files, which ``DATASETS["mnist"]`` names by sha256."""
+    root = tmp_path / "mirror"
+    root.mkdir()
+    files = {}
+    for i, name in enumerate(("train-images-idx3-ubyte.gz", "train-labels-idx1-ubyte.gz",
+                              "t10k-images-idx3-ubyte.gz", "t10k-labels-idx1-ubyte.gz")):
+        data = gzip.compress(bytes(range(i, i + 40)))
+        (root / name).write_bytes(data)
+        files[name] = hashlib.sha256(data).hexdigest()
+    monkeypatch.setitem(DATASETS, "mnist", {"mirrors": [], "files": files})
+    return root
+
+
+class TestFetchFromMirror:
+    """The download loop, served offline from a ``file://`` mirror."""
+
+    def test_fetches_and_verifies(self, mirror, tmp_path):
+        fetched = []
+        paths = fetch_dataset("mnist", tmp_path / "dest", base_url=mirror.as_uri(),
+                              progress=fetched.append)
+        assert [p.name for p in paths] == list(DATASETS["mnist"]["files"])
+        assert all(p.read_bytes() == (mirror / p.name).read_bytes() for p in paths)
+        assert len(fetched) == 4
+        fetched.clear()  # a second pass only verifies
+        assert fetch_dataset("mnist", tmp_path / "dest", base_url=mirror.as_uri(),
+                             progress=fetched.append) == paths
+        assert fetched == []
+        assert cli_main(["fetch-data", "--dataset", "mnist", "--dest", str(tmp_path / "cli"),
+                         "--base-url", mirror.as_uri()]) == 0
+
+    def test_file_missing_on_mirror(self, mirror, tmp_path):
+        (mirror / "t10k-images-idx3-ubyte.gz").unlink()
+        with pytest.raises(ConfigError, match="could not fetch t10k-images-idx3-ubyte.gz"):
+            fetch_dataset("mnist", tmp_path / "dest", base_url=mirror.as_uri(),
+                          progress=lambda msg: None)
+        assert not (tmp_path / "dest" / "t10k-images-idx3-ubyte.gz").exists()
+
+    def test_checksum_mismatch_removes_download(self, mirror, tmp_path):
+        (mirror / "train-labels-idx1-ubyte.gz").write_bytes(b"a different file")
+        with pytest.raises(ConfigError, match="train-labels-idx1-ubyte.gz: sha256"):
+            fetch_dataset("mnist", tmp_path / "dest", base_url=mirror.as_uri(),
+                          progress=lambda msg: None)
+        assert sorted(p.name for p in (tmp_path / "dest").iterdir()) == [
+            "train-images-idx3-ubyte.gz"]

@@ -34,6 +34,14 @@ class TestLevelSpec:
         with pytest.raises(ConfigError):
             LevelSpec(np.arange(1.0, 10.0), sig)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        for k in (0, 1):  # a mean, then a sigma
+            rows = [np.arange(1.0, 10.0), np.ones(N_LEVELS)]
+            rows[k][3] = bad
+            with pytest.raises(ConfigError, match="must be finite"):
+                LevelSpec(*rows)
+
     def test_wrong_row_count_rejected(self):
         with pytest.raises(ConfigError):
             LevelSpec([1, 2, 3], [0.1, 0.1, 0.1])

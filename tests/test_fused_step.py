@@ -4,7 +4,7 @@ The compiled step (``_step.c``) is compared with the plain rule it stands in
 for (``optim.metaplastic_update``), with and without a C compiler; the plain
 rule itself has no second copy, so ``TestUpdateOracle`` checks its own
 properties. The library's re-projection is compared with
-``DenseLayer._relevel``, its batch norm and ReLU with ``BatchNorm`` and the
+``DenseLayer.set_hidden``, its batch norm and ReLU with ``BatchNorm`` and the
 ``fmax`` ReLU. Every comparison is on bytes: values, dtype and shape, so a
 -0.0 for a 0.0 or a changed RNG draw order fails as loudly as a wrong level.
 """
@@ -1052,13 +1052,14 @@ class TestCompiledStep:
 
 
 class TestCompiledRelevel:
-    """``optim._relevel`` (the library's re-projection) against ``DenseLayer._relevel``."""
+    """The re-projection at the end of the library's ``step2`` against ``set_hidden``."""
 
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(["uniform", "device", "explicit-80"]),
            seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from(DTYPES),
            bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
     def test_bit_equal_relevel(self, step_lib, kind, seed, dtype, bad):
+        """With ``t = 0`` and ``out = 0`` the new weights are the planted ones, clipped."""
         rng = np.random.default_rng(seed)
         grid = {"uniform": lambda: uniform_grid(17, -1.5, 1.5),
                 "device": lambda: device_grid(rng).grid,
@@ -1066,25 +1067,35 @@ class TestCompiledRelevel:
         ours, theirs = twin_layers(grid, grid.clip_hidden(
             hidden_weights(rng, grid, dtype, (9, 13))))
         work = ours._work = optim._Work(step_lib, ours.w_hidden)
+        work.k[:] = 0.0
+        work.k[-2:] = grid.hidden_lo, grid.hidden_hi  # K_LO, K_HI: the clip ends
+        zero = np.zeros_like(ours.w_hidden)
         for step in range(3):
             # weights beyond the clip ends, on midpoints, levels and the clip ends
             w = hidden_weights(rng, grid, dtype, ours.shape, spread=0.5)
             if bad is not None and step == 2:
                 w.flat[rng.integers(w.size)] = bad
-            lo, hi = theirs._bounds
-            moved = np.flatnonzero(~((w > lo) & (w <= hi)))
             new = 1 if ours.w_hidden is work.pair[0] else 0
-            work.pair[new][...] = w
-            work.index[:moved.size] = moved
+            work.pair[new][...] = 0.0
             before = ours.w_hidden
-            got = outcome(optim._relevel, ours, new, moved.size, optim._level_ptrs(ours))
-            want = outcome(theirs._relevel, w, moved)
+
+            def library_step():
+                count = work.step2(w.size, grid.n, w.ctypes.data, zero.ctypes.data,
+                                   work.pair_ptrs[new], work.index_ptr, work.k_ptr,
+                                   *optim._level_ptrs(ours))
+                if count < 0:
+                    raise FloatingPointError
+                ours.w_hidden = work.pair[new]
+                return work.index[:count]
+
+            got = outcome(library_step)
+            want = outcome(theirs.set_hidden, grid.clip_hidden(w))
             assert got == want
-            if isinstance(want, bytes):
-                assert ours.w_hidden is work.pair[new]
-            else:  # the non-finite weight: refused before any change
+            if bad is not None and step == 2 and np.isnan(bad):
+                assert want is FloatingPointError  # refused before any change
                 assert ours.w_hidden is before
-                theirs.w_hidden = before
+            else:  # finite once clipped: +-inf clip to the ends
+                assert isinstance(want, bytes)
             assert_same_levels(ours, theirs)
 
 

@@ -90,6 +90,11 @@ class TestConfig:
         dict(init_span=0.0),
         dict(init_span=float("nan")),
         dict(init_span=float("inf")),
+        dict(pretrain_epochs=-1),
+        dict(target_max=0.0),
+        dict(read_noise_sigma=-0.1),
+        dict(device_sigma_frac=-0.1),
+        dict(endurance=0),
     ])
     def test_validation_failures(self, bad):
         with pytest.raises(ConfigError):
@@ -410,6 +415,24 @@ class TestCheckpoint:
             "adam_lone_v.npz": ({**without(*(k for k in saved if k.startswith("adam."))),
                                  "adam.t": np.asarray(0), "adam.v.w0": saved["adam.v.w0"]},
                                 "lacks array 'adam.m.w0'"),
+            # counters and generator states no run writes: a vector, a list, a
+            # fraction, a negative count, an epoch past the schedule's one epoch
+            "version_vector.npz": ({**saved, "format_version": np.asarray([1, 1])},
+                                   "unsupported checkpoint version [1 1]"),
+            "epoch_vector.npz": ({**saved, "epoch": np.asarray([1, 1])},
+                                 "epoch = [1 1] is not a whole number >= 0"),
+            "cum_ops_vector.npz": ({**saved, "cum_ops": np.asarray([7])},
+                                   "cum_ops = [7] is not a whole number >= 0"),
+            "data_rng_list.npz": ({**saved, "data_rng": np.frombuffer(b"[1, 2]", np.uint8)},
+                                  "data_rng holds no bit-generator state"),
+            "epoch_fraction.npz": ({**saved, "epoch": np.asarray(0.7)},
+                                   "epoch = 0.7 is not a whole number >= 0"),
+            "epoch_negative.npz": ({**saved, "epoch": np.asarray(-3)},
+                                   "epoch = -3 is not a whole number >= 0"),
+            "cum_ops_negative.npz": ({**saved, "cum_ops": np.asarray(-1)},
+                                     "cum_ops = -1 is not a whole number >= 0"),
+            "epoch_past.npz": ({**saved, "epoch": np.asarray(2)},
+                               "epoch 2 is past the schedule's end"),
         }
         for name, (state, _) in damaged.items():
             np.savez(tmp_path / name, **state)
@@ -564,6 +587,8 @@ class TestOpsHistogram:
         want = reference_ops_histogram(np.concatenate(before), bucket_width)
         assert ops_histogram(tiles, bucket_width) == want
         assert all(np.array_equal(t.ops, b) for t, b in zip(tiles, before))
+        with pytest.raises(ConfigError, match="bucket_width must be >= 1"):
+            ops_histogram(tiles, bucket_width=0)
 
     def test_csv_written(self, tmp_path):
         rows = [(0, 5, 60.0), (5, 10, 40.0)]
@@ -674,6 +699,10 @@ class TestCli:
         assert cli_main(["eval", "--checkpoint", str(tmp_path / "cli" / "checkpoint.npz"),
                          "--data-dir", str(synth_data_dir)]) == 0
         assert "synthA:" in capsys.readouterr().out
+        assert cli_main(["train", "--config", str(cfg_path), "--repeats", "2",
+                         "--out", str(tmp_path / "reps")]) == 0
+        assert "wrote 2 runs under" in capsys.readouterr().out
+        assert (tmp_path / "reps" / "summary.csv").exists()
 
     def test_run_flags_land_in_config_fields(self, synth_data_dir, tmp_path):
         cfg = synth_config(synth_data_dir, tmp_path / "flags")

@@ -233,6 +233,8 @@ class TestInitAndState:
         assert [a.tolist() for a in got[0]] == [[v] * 16 for v in (2.0, -1.0, 0.5, 3.0)]
         with pytest.raises(ValueError, match="running_var shape"):
             mlp.set_bn_state([(*got[0][:3], np.ones(15))])
+        with pytest.raises(ValueError, match="bn state holds 2 layers, net has 1"):
+            mlp.set_bn_state(got * 2)
 
     def test_built_from_matrices(self, grid17):
         mlp = MLP([np.zeros((6, 5), np.float32), np.zeros((5, 3), np.float32)], grid17)

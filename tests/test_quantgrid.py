@@ -119,7 +119,7 @@ class TestProjection:
         idx = g.project_idx(w)
         assert idx.dtype == np.int16
         counted = np.zeros(w.shape, np.int64)
-        for m in g.level_tables(dtype)[0]:
+        for m in g.level_tables(dtype)[0][1:-1]:
             counted += w > m
         assert np.array_equal(idx, counted)
         assert g.project_idx(w[3]).dtype == np.int16
