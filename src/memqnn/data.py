@@ -1,7 +1,7 @@
 """MNIST / Fashion-MNIST ingestion (IDX format), batching and task specs.
 
 Files are the standard big-endian IDX payloads, optionally gzip-compressed
-(sniffed from the two magic bytes, not the filename); an uncompressed file is
+(sniffed from the two magic bytes, not the filename); a plain regular file is
 mapped read-only, not copied. A split holds the payload's 8-bit pixels as
 read, a quarter of a float32 copy and an eighth of a float64 one; each batch
 is scaled to the run dtype when it is taken, with the bits a whole-split
@@ -20,6 +20,7 @@ import os
 import stat
 import struct
 import urllib.request
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,20 +132,22 @@ def _read_bytes(path):
     """The file's payload: a read-only map of a plain regular file, else its bytes.
 
     A map keeps the pixels off the heap and costs no copy; it holds its own
-    handle on the file, so it outlives an unlink but not a truncation. gzip
-    files are read into memory, as are files too short to sniff and
-    non-regular files.
+    handle on the file, so it outlives an unlink but not a truncation. Any
+    other file (a pipe too: nothing seeks) is read once, and decompressed in
+    memory if gzip; damaged gzip data raises IdxFormatError.
     """
     with open(path, "rb") as f:
         head = f.read(2)
-        if head == b"\x1f\x8b":
-            f.seek(0)
-            with gzip.open(f) as gz:
-                return gz.read()
-        if len(head) == 2 and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+        gz = head == b"\x1f\x8b"
+        if not gz and len(head) == 2 and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        f.seek(0)
-        return f.read()
+        raw = head + f.read()
+    if not gz:
+        return raw
+    try:
+        return gzip.decompress(raw)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+        raise IdxFormatError(f"{path}: damaged gzip data: {e}") from None
 
 
 def _parse_idx(raw, expect_magic, path):
@@ -174,8 +177,8 @@ def load_idx(images_path, labels_path, name="", dtype=np.float32):
     pixels, flattened per image, without a copy; ``dtype`` is the one its
     batches are scaled to (by 1/255, no centering: the first batch-norm
     layer absorbs it). Raises IdxFormatError on malformed payloads and
-    ConfigError when the two files disagree on the record count or hold no
-    records.
+    damaged gzip data, and ConfigError when the two files disagree on the
+    record count or hold no records.
     """
     pixels = _parse_idx(_read_bytes(images_path), IMAGE_MAGIC, images_path)
     labels = _parse_idx(_read_bytes(labels_path), LABEL_MAGIC, labels_path)

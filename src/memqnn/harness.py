@@ -505,9 +505,10 @@ def restore_run(path):
     and a tile whose cells do not encode its layer's levels raise
     ConfigError: training rewrites only pairs whose level changes, so it
     would never mend such a tile. So do a generator state numpy does not
-    take, an ``epoch`` or ``cum_ops`` that is not one whole number >= 0, and
-    an ``epoch`` past the schedule's end. Compressed
-    (``np.savez_compressed``) files load as well.
+    take, an ``epoch`` or ``cum_ops`` that is not one whole number >= 0, an
+    ``epoch`` past the schedule's end, and a ``cum_ops`` other than the sum
+    of the tiles' program ops (0 without tiles): it counts every program op
+    since set-up. Compressed (``np.savez_compressed``) files load as well.
     """
     try:
         with np.load(path) as z:
@@ -553,6 +554,9 @@ def restore_run(path):
         epoch, cum_ops = (optim.check_count(state[k], k) for k in ("epoch", "cum_ops"))
         if epoch > sum(t.epochs for t in config.tasks):
             raise ConfigError(f"epoch {epoch} is past the schedule's end")
+        tile_ops = sum(layer.tile.total_ops() for layer in mlp.layers if layer.tile is not None)
+        if cum_ops != tile_ops:
+            raise ConfigError(f"cum_ops {cum_ops} != {tile_ops}, the program ops of the tiles")
     except KeyError as e:
         raise ConfigError(f"{path}: checkpoint lacks array {e}") from None
     except (ValueError, FloatingPointError) as e:  # a ConfigError is a ValueError

@@ -174,8 +174,9 @@ class DenseLayer:
     invariant by re-projecting only the weights that left their level's
     interval and patching ``w_quant``, ``level_idx`` and the intervals in
     place; the compiled step does the same at the end of its update call.
-    The intervals come from the grid's one edge table per precision
-    (``QuantGrid.level_tables``). The plasticity slopes stay with the grid,
+    The intervals and the level values come from the grid's tables in the
+    weights' precision (``QuantGrid.level_tables``), so ``w_quant`` has the
+    hidden weights' dtype. The plasticity slopes stay with the grid,
     one per level (``QuantGrid.slope_tables``), and the update reads them
     through ``level_idx``. When a crossbar tile is bound, the matrix
     products route through it instead of ``w_quant``. The hidden weights are
@@ -195,8 +196,7 @@ class DenseLayer:
         self.bn = bn
         self.tile = None
         self.w_hidden = w
-        self.level_idx, w_quant = grid.project(w)
-        self.w_quant = w_quant.astype(w.dtype, copy=False)
+        self.level_idx, self.w_quant = grid.project(w)
         self._bounds = grid.level_bounds(self.level_idx, w.dtype)  # (lo, hi] of each level
         self._work = None  # the compiled step's buffers (optim._Work)
 
@@ -221,16 +221,8 @@ class DenseLayer:
         lo, hi = self._bounds
         inside = w > lo
         inside &= w <= hi
-        return self._relevel(w, np.flatnonzero(~inside))  # NaN compares false: it moves
-
-    def _relevel(self, w, moved):
-        """Make ``w`` the hidden weights, re-projecting the flat indices ``moved``.
-
-        ``moved`` must hold (ascending) every weight of ``w`` outside its
-        level's interval; it is returned. A non-finite weight among them makes
-        ``project`` raise ``FloatingPointError`` before the layer changes.
-        """
-        idx, w_quant = self.grid.project(np.take(w, moved))
+        moved = np.flatnonzero(~inside)  # NaN compares false: it moves
+        idx, w_quant = self.grid.project(np.take(w, moved))  # raises before any change
         np.put(self.level_idx, moved, idx)
         np.put(self.w_quant, moved, w_quant)
         for bound, new in zip(self._bounds, self.grid.level_bounds(idx, w.dtype)):

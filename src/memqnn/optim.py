@@ -14,7 +14,7 @@ from the grid's per-level tables (``QuantGrid.slope_tables``); training runs
 it wherever a C compiler is found, and the formula is its fallback and its
 test oracle. Either way only the weights that left their level are
 re-projected: at the end of the library's update loop on the compiled path,
-by ``DenseLayer._relevel`` on the numpy path.
+by ``DenseLayer.set_hidden`` on the numpy path.
 The library also holds the train-mode batch norm and ReLU that ``net.MLP``
 runs; this module builds and loads it once per process, at the first
 train-mode forward pass (in training, the first step's).

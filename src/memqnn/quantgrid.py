@@ -99,9 +99,10 @@ class QuantGrid:
         return np.searchsorted(mids, w, side="left").astype(np.int16)
 
     def project(self, w_hidden):
-        """Nearest-level projection; returns (level_index, quantized value)."""
-        idx = self.project_idx(w_hidden)
-        return idx, self.levels[idx]
+        """Nearest-level projection: (level_index, value from ``level_tables``)."""
+        w = np.asarray(w_hidden)
+        idx = self.project_idx(w)
+        return idx, self.level_tables(w.dtype)[1][idx]
 
     def level_bounds(self, level_idx, dtype):
         """Per weight, the interval (lo, hi] that projects onto its level.

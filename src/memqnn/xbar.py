@@ -84,9 +84,9 @@ class CrossbarTile:
     regardless of what the surrounding training loop does. Its only state is
     its cells: which pairs to write is the caller's to say. The decoded
     weights are built with the tile (pristine cells decode to 0), decoded
-    afresh on ``load_state_dict`` and on a write of every pair, and patched
-    in place for the pairs a sparse ``write_levels`` visits: conductances
-    only change when a cell is pulsed.
+    afresh on ``load_state_dict`` and on the first write of a pristine tile,
+    and patched in place for the pairs any other ``write_levels`` visits:
+    conductances only change when a cell is pulsed.
     """
 
     def __init__(self, rows, cols, dgrid: DeviceGrid, rng,
@@ -117,28 +117,25 @@ class CrossbarTile:
         holds, and pristine cells differ from every target, so a first write
         of every pair programs every cell exactly once, LCS targets included.
         Cells are programmed plus first, then minus, each in ascending flat
-        order. When every pair is visited, a side whose cells all change (as
-        on a fresh tile) is programmed with ``where=None``, through a slice;
-        otherwise the changed cells are passed by flat index.
+        order. A full level matrix on a pristine tile (set-up) programs each
+        side whole, through a slice; any other full matrix is written as the
+        pairs ``0..n-1``. Both give the same draws.
         """
-        ops = 0
+        k = np.asarray(signed_levels)
         if where is None:
-            k = np.asarray(signed_levels)
             if k.shape != self.shape:
                 raise ValueError(f"level matrix shape {k.shape} != tile shape {self.shape}")
-            for cells, targets in zip((self.plus, self.minus), encode_levels(k)):
-                changed = cells.level != targets
-                if changed.all():
-                    ops += cells.program(targets, self.rng)
-                else:
-                    pick = np.flatnonzero(changed)
-                    ops += cells.program(targets.take(pick), self.rng, where=pick)
-            self._w_eff[...] = self._decode(self.plus.g, self.minus.g)
-            return ops
-        pairs = flat_indices(where, self.plus.size)
-        k = np.asarray(signed_levels)
-        if k.shape != pairs.shape:  # one level for every pair
-            k = np.broadcast_to(k, pairs.shape)
+            if (self.plus.level < 0).all() and (self.minus.level < 0).all():  # every cell changes
+                ops = sum(cells.program(targets, self.rng)
+                          for cells, targets in zip((self.plus, self.minus), encode_levels(k)))
+                self._w_eff[...] = self._decode(self.plus.g, self.minus.g)
+                return ops
+            pairs, k = np.arange(self.plus.size), k.reshape(-1)
+        else:
+            pairs = flat_indices(where, self.plus.size)
+            if k.shape != pairs.shape:  # one level for every pair
+                k = np.broadcast_to(k, pairs.shape)
+        ops = 0
         for cells, targets in zip((self.plus, self.minus), encode_levels(k)):
             changed = cells.level.take(pairs) != targets
             ops += cells.program(targets[changed], self.rng, where=pairs[changed])

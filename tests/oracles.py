@@ -34,9 +34,7 @@ from memqnn.xbar import HALF_SPAN
 
 def reference_projection(grid, w_hidden):
     """(level_idx, w_quant) as a full re-projection of every hidden weight."""
-    w = np.asarray(w_hidden)
-    level_idx, w_quant = grid.project(w)
-    return level_idx, w_quant.astype(w.dtype, copy=False)
+    return grid.project(w_hidden)
 
 
 def reference_program(cells, targets, rng, where=None):

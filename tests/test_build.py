@@ -100,8 +100,9 @@ def test_float32_tiles_hold_their_layers_levels():
 def test_restore_programs_no_cell(tmp_path, monkeypatch, dtype):
     mlp, _, _, device_rng = build("crossbar", dtype, (64, 24, 24, 10), 11)
     cfg = config("crossbar", dtype, (64, 24, 24, 10), 11)
+    cum_ops = sum(layer.tile.total_ops() for layer in mlp.layers)
     harness.save_checkpoint(tmp_path / "ck.npz", cfg, mlp, Adam(),
-                            np.random.default_rng(1), device_rng, 0, 0)
+                            np.random.default_rng(1), device_rng, 0, cum_ops)
 
     def program(*args, **kwargs):
         raise AssertionError("restore_run programmed a cell")

@@ -4,6 +4,7 @@ import math
 import mmap
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -104,6 +105,54 @@ class TestLoadIdx:
                          "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"expected {16 + math.prod(dims)} " in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "zeroed_deflate", "bad_crc"])
+    def test_damaged_gzip_refused(self, fixture_pair, tmp_path, capsys, damage):
+        """A cut stream (EOFError), a corrupt one (zlib.error), a wrong CRC (BadGzipFile)."""
+        ip, lp, _, _ = fixture_pair
+        gz = bytearray(gzip.compress(ip.read_bytes()))
+        if damage == "truncated":
+            gz = gz[:len(gz) // 2]
+        elif damage == "zeroed_deflate":
+            gz[10:-8] = bytes(len(gz) - 18)  # between the 10-byte header and 8-byte trailer
+        else:
+            gz[-8] ^= 0xFF
+        task = tmp_path / "data" / "mnist"
+        task.mkdir(parents=True)
+        bad = task / "train-images-idx3-ubyte.gz"
+        bad.write_bytes(gz)
+        (task / "train-labels-idx1-ubyte").write_bytes(lp.read_bytes())
+        with pytest.raises(IdxFormatError, match="damaged gzip data") as e:
+            load_idx(bad, lp)
+        assert str(bad) in str(e.value)
+        assert cli_main(["train", "--preset", "desk", "--data-dir", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{bad}: damaged gzip data" in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("compressed", [False, True], ids=["raw", "gzip"])
+    def test_named_pipe_loads(self, fixture_pair, tmp_path, compressed):
+        """A pipe cannot seek: the payload is read in one pass."""
+        ip, lp, imgs, labels = fixture_pair
+        payload = ip.read_bytes()
+        if compressed:
+            payload = gzip.compress(payload)
+        fifo = tmp_path / "imgs.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as f:
+                f.write(payload)
+
+        # a daemon, joined with a timeout: a reader that fails cannot hang the suite
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        split = load_idx(fifo, lp)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(split.pixels, imgs.reshape(2, 12))
+        assert np.array_equal(split.labels, labels)
 
     def test_count_mismatch(self, fixture_pair, tmp_path):
         ip, lp, _, _ = fixture_pair

@@ -1295,7 +1295,8 @@ def test_restore_then_steps_equals_uninterrupted(tmp_path, mode, dtype):
                for _ in range(8)]
     for x, y in batches[:4]:
         harness.train_step(mlp, adam, x, y, 3.0, cfg.lr, dgrid)
-    harness.save_checkpoint(tmp_path / "ck.npz", cfg, mlp, adam, data_rng, device_rng, 0, 0)
+    cum_ops = sum(layer.tile.total_ops() for layer in mlp.layers if layer.tile is not None)
+    harness.save_checkpoint(tmp_path / "ck.npz", cfg, mlp, adam, data_rng, device_rng, 0, cum_ops)
     _, clone, clone_adam, _, clone_device_rng, *_ = harness.restore_run(tmp_path / "ck.npz")
     flips = 0
     for x, y in batches[4:]:

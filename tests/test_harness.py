@@ -365,10 +365,12 @@ class TestCheckpoint:
         res = run_sequential(cfg)
         saved = dict(np.load(res.out_dir / "checkpoint.npz"))
         config = json.loads(saved["config_json"].tobytes())
+        tile_ops = sum(int(v.sum()) for k, v in saved.items() if k.endswith(".ops"))
+        assert tile_ops == saved["cum_ops"] > 0
 
-        def with_dims(dims):
-            packed = json.dumps({**config, "dims": dims}).encode()
-            return {**saved, "config_json": np.frombuffer(packed, np.uint8)}
+        def with_config(state=saved, **fields):
+            packed = json.dumps({**config, **fields}).encode()
+            return {**state, "config_json": np.frombuffer(packed, np.uint8)}
 
         def without(*keys):
             return {k: v for k, v in saved.items() if k not in keys}
@@ -381,8 +383,8 @@ class TestCheckpoint:
         damaged = {
             "lacking.npz": ({k: v for k, v in saved.items() if k != "tile0.minus.g"},
                             "tile0.minus.g"),
-            "fewer_dims.npz": (with_dims([64, 24, 10]), "dims (64, 24, 24)"),
-            "more_dims.npz": (with_dims([64, 30, 24, 10]), "dims (64, 24, 24, 10)"),
+            "fewer_dims.npz": (with_config(dims=[64, 24, 10]), "dims (64, 24, 24)"),
+            "more_dims.npz": (with_config(dims=[64, 30, 24, 10]), "dims (64, 24, 24, 10)"),
             "cell_shape.npz": ({**saved, "tile0.plus.g": saved["tile0.plus.g"].T},
                                "tile0.plus.g shape (24, 64)"),
             "nan_weight.npz": ({**saved, "layer1.w_hidden": saved["layer1.w_hidden"] * np.nan},
@@ -433,6 +435,14 @@ class TestCheckpoint:
                                      "cum_ops = -1 is not a whole number >= 0"),
             "epoch_past.npz": ({**saved, "epoch": np.asarray(2)},
                                "epoch 2 is past the schedule's end"),
+            # cum_ops counts every program op since set-up: the tiles' total,
+            # and 0 in exact mode, which has no tiles
+            "cum_ops_not_tiles.npz": ({**saved, "cum_ops": np.asarray(5)},
+                                      f"cum_ops 5 != {tile_ops}, the program ops of the tiles"),
+            "cum_ops_exact.npz": (
+                with_config({**without(*(k for k in saved if k.startswith("tile"))),
+                             "cum_ops": np.asarray(5)}, weight_source="exact"),
+                "cum_ops 5 != 0, the program ops of the tiles"),
         }
         for name, (state, _) in damaged.items():
             np.savez(tmp_path / name, **state)

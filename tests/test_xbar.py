@@ -91,6 +91,15 @@ class TestWritePolicy:
         assert ops == 2 * 4 * 5
         assert np.all(tile.plus.ops == 1) and np.all(tile.minus.ops == 1)
 
+    def test_pristine_whole_write_draws_as_the_pairs(self, dgrid):
+        k = np.random.default_rng(1).integers(-HALF_SPAN, HALF_SPAN + 1, (4, 5))
+        whole, pairs = (CrossbarTile(4, 5, dgrid, np.random.default_rng(0)) for _ in range(2))
+        assert whole.write_levels(k) == pairs.write_levels(k.ravel(), where=np.arange(20)) == 40
+        sw, sp = whole.state_dict(), pairs.state_dict()
+        assert all(sw[key].tobytes() == sp[key].tobytes() for key in sw)
+        assert whole.effective_weights().tobytes() == pairs.effective_weights().tobytes()
+        assert whole.rng.bit_generator.state == pairs.rng.bit_generator.state
+
     def test_rewrite_identical_is_free(self, dgrid):
         tile = CrossbarTile(4, 5, dgrid, np.random.default_rng(0))
         k = np.random.default_rng(1).integers(-HALF_SPAN, HALF_SPAN + 1, (4, 5))

@@ -6,7 +6,10 @@ mean - 3*sigma floors for the m*=3 final accuracies, and the observed bands
 for the contrast/ordering criteria. Existing run directories are reused, so
 the script is idempotent and may be re-run after interruption.
 
-Usage: python tools/calibrate.py [--data-dir DIR] [--out DIR] [--seeds N]
+Usage: PYTHONPATH=src python tools/calibrate.py [--data-dir DIR] [--out DIR] [--seeds N]
+
+The defaults, ``data`` and ``runs/calib``, follow the CLI's: the datasets
+in ``data/mnist`` and ``data/fashion-mnist``, the runs under ``runs/``.
 """
 
 import argparse
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from memqnn.harness import RunResult, preset, run_sequential
+from memqnn.harness import preset, run_sequential
 
 
 def run_or_load(cfg):
@@ -24,7 +27,7 @@ def run_or_load(cfg):
         summary = json.loads((out / "run.json").read_text())
         print(f"[cached] {out.name}: {summary['final']}")
         return summary
-    res = run_sequential(cfg, log=None)
+    run_sequential(cfg, log=None)
     summary = json.loads((out / "run.json").read_text())
     print(f"[ran]    {out.name}: {summary['final']}")
     return summary
@@ -32,8 +35,8 @@ def run_or_load(cfg):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--data-dir", default="/root/data")
-    ap.add_argument("--out", default="/root/calib")
+    ap.add_argument("--data-dir", default="data")
+    ap.add_argument("--out", default="runs/calib")
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--base-seed", type=int, default=100)
     args = ap.parse_args()
